@@ -95,10 +95,8 @@ type bitset []uint64
 
 func (b *bitset) set(i int) {
 	w := i >> 6
-	if w >= len(*b) {
-		nb := make(bitset, w+1)
-		copy(nb, *b)
-		*b = nb
+	for len(*b) <= w {
+		*b = append(*b, 0)
 	}
 	(*b)[w] |= 1 << (i & 63)
 }
@@ -165,6 +163,12 @@ type Directory struct {
 	eng   *sim.Engine
 	fab   fabric.Fabric
 	cells int
+
+	// fabAccessThen is fab.AccessThen, bound once: steps call it as a
+	// plain function value, and ksrlint/hotalloc checks each fabric's
+	// AccessThen where it is declared.
+	fabAccessThen func(p *sim.Process, src, dst int, addr memory.Addr, done func())
+	txs           []*dirTx // per-process synchronous transactions, by process id
 
 	entries map[memory.SubPageID]*entry
 	stats   Stats
@@ -243,10 +247,11 @@ func (d *Directory) crossDomainTarget(cell int, affected bitset) int {
 // NewDirectory creates the directory for a machine with the given fabric.
 func NewDirectory(e *sim.Engine, fab fabric.Fabric) *Directory {
 	return &Directory{
-		eng:     e,
-		fab:     fab,
-		cells:   fab.Nodes(),
-		entries: make(map[memory.SubPageID]*entry),
+		eng:           e,
+		fab:           fab,
+		fabAccessThen: fab.AccessThen,
+		cells:         fab.Nodes(),
+		entries:       make(map[memory.SubPageID]*entry),
 	}
 }
 
@@ -254,16 +259,23 @@ func NewDirectory(e *sim.Engine, fab fabric.Fabric) *Directory {
 const entrySlabSize = 256
 
 func (d *Directory) get(sp memory.SubPageID) *entry {
-	en := d.entries[sp]
-	if en == nil {
-		if len(d.slab) == 0 {
-			d.slab = make([]entry, entrySlabSize)
-		}
-		en = &d.slab[0]
-		d.slab = d.slab[1:]
-		en.owner = -1 // bitsets start nil (empty) and grow on demand
-		d.entries[sp] = en
+	if en := d.entries[sp]; en != nil {
+		return en
 	}
+	return d.newEntry(sp)
+}
+
+// newEntry carves sp's directory record from the slab on first touch.
+//
+//ksr:coldpath once per sub-page
+func (d *Directory) newEntry(sp memory.SubPageID) *entry {
+	if len(d.slab) == 0 {
+		d.slab = make([]entry, entrySlabSize)
+	}
+	en := &d.slab[0]
+	d.slab = d.slab[1:]
+	en.owner = -1 // bitsets start nil (empty) and grow on demand
+	d.entries[sp] = en
 	return en
 }
 
@@ -285,9 +297,16 @@ func (d *Directory) Footprint() int64 {
 
 func (d *Directory) condOf(en *entry, sp memory.SubPageID) *sim.Cond {
 	if en.cond == nil {
-		en.cond = sim.NewCond(d.eng, fmt.Sprintf("subpage %d", uint64(sp)))
+		en.cond = d.newCond(sp)
 	}
 	return en.cond
+}
+
+// newCond creates the watcher cond of sp on its first wait.
+//
+//ksr:coldpath once per watched sub-page
+func (d *Directory) newCond(sp memory.SubPageID) *sim.Cond {
+	return sim.NewCond(d.eng, fmt.Sprintf("subpage %d", uint64(sp)))
 }
 
 // Stats returns cumulative protocol counters.
@@ -303,35 +322,133 @@ func (d *Directory) ResetStats() { d.stats = Stats{} }
 // occupancy, sampled by the telemetry collector.
 func (d *Directory) Entries() int { return len(d.entries) }
 
-// access performs one synchronous protocol transaction for p, absorbing
-// injected NACKs: each NACK costs the full transit already paid plus an
-// exponential backoff in simulated time before the retry circulates
-// again. The loop is finite because the injector never NACKs one request
-// more than MaxRetries times in a row. It returns the total latency the
-// requester observed, retries and backoff included.
-func (d *Directory) access(p *sim.Process, src, dst int, addr memory.Addr) sim.Time {
-	start := d.eng.Now()
-	for attempt := 0; ; attempt++ {
-		d.fab.Access(p, src, dst, addr)
-		if !d.Faults.NACK(attempt) {
-			if attempt > d.stats.MaxRetryRun {
-				d.stats.MaxRetryRun = attempt
-			}
-			return d.eng.Now() - start
-		}
-		d.stats.NACKs++
-		d.stats.Retries++
-		delay := d.Faults.Backoff(attempt)
-		d.stats.BackoffTime += delay
-		if d.Obs != nil {
-			d.Obs.Instant(obs.CatCoh, src, "nack",
-				obs.Arg{Key: "attempt", Val: int64(attempt)}, obs.Arg{Key: "backoff_ns", Val: int64(delay)})
-		}
-		if fn := d.Prof.Backoff; fn != nil {
-			fn(src, delay)
-		}
-		p.Sleep(delay)
+// dirTx is one process's synchronous protocol transaction, run as a
+// chain of continuation steps (see sim.Process.Run): a fabric round trip
+// with NACK retries, on its own or inside a get_sub_page attempt, or a
+// wait for a sub-page's version to change. A process runs at most one at
+// a time, so each keeps one record, with the step method values bound
+// once.
+type dirTx struct {
+	d *Directory
+	p *sim.Process
+
+	// One protocol transaction (accessThen).
+	src, dst int
+	addr     memory.Addr
+	attempt  int
+	start    sim.Time
+	lat      sim.Time // latency of the last completed transaction
+	accessed func()   // continuation once it lands, nil ends the chain
+
+	// The sub-page of the current get_sub_page attempt or version wait.
+	sp memory.SubPageID
+	en *entry
+
+	// A get_sub_page attempt (GetSubPageThen).
+	cell    int
+	ok      bool // outcome of the last attempt
+	gspDone func(ok bool, lat sim.Time)
+
+	// A version wait (WaitChangeThen).
+	since   uint64
+	changed func()
+
+	landedFn    func()
+	retryFn     func()
+	gspLandedFn func()
+	recheckFn   func()
+}
+
+// tx returns p's transaction record.
+func (d *Directory) tx(p *sim.Process) *dirTx {
+	if id := p.ID(); id < len(d.txs) && d.txs[id] != nil {
+		return d.txs[id]
 	}
+	return d.newTx(p)
+}
+
+// newTx creates p's transaction record on its first synchronous
+// transaction; every later one reuses it.
+//
+//ksr:coldpath once per process
+func (d *Directory) newTx(p *sim.Process) *dirTx {
+	for len(d.txs) <= p.ID() {
+		d.txs = append(d.txs, nil)
+	}
+	t := &dirTx{d: d, p: p}
+	t.landedFn, t.retryFn, t.gspLandedFn, t.recheckFn = t.landed, t.retry, t.gspLanded, t.recheck
+	d.txs[p.ID()] = t
+	return t
+}
+
+// access performs one synchronous protocol transaction for p and returns
+// the total latency the requester observed, retries and backoff
+// included: accessThen run to completion.
+func (d *Directory) access(p *sim.Process, src, dst int, addr memory.Addr) sim.Time {
+	t := d.tx(p)
+	p.Run(func() { d.accessThen(t, src, dst, addr, nil) })
+	return t.lat
+}
+
+// accessThen performs one protocol transaction for t's process as a
+// chain, absorbing injected NACKs: each NACK costs the full transit
+// already paid plus an exponential backoff in simulated time before the
+// retry circulates again. The retries are finite because the injector
+// never NACKs one request more than MaxRetries times in a row. done runs
+// once the transaction lands, with t.lat set.
+//
+//ksr:hotpath
+func (d *Directory) accessThen(t *dirTx, src, dst int, addr memory.Addr, done func()) {
+	t.src, t.dst, t.addr, t.accessed = src, dst, addr, done
+	t.start = d.eng.Now()
+	t.attempt = 0
+	d.fabAccessThen(t.p, src, dst, addr, t.landedFn)
+}
+
+// landed completes the transaction, or backs off after a NACK.
+//
+//ksr:hotpath
+func (t *dirTx) landed() {
+	d := t.d
+	if !d.Faults.NACK(t.attempt) {
+		if t.attempt > d.stats.MaxRetryRun {
+			d.stats.MaxRetryRun = t.attempt
+		}
+		t.lat = d.eng.Now() - t.start
+		done := t.accessed
+		t.accessed = nil
+		if done != nil {
+			done()
+		}
+		return
+	}
+	d.stats.NACKs++
+	d.stats.Retries++
+	delay := d.Faults.Backoff(t.attempt)
+	d.stats.BackoffTime += delay
+	if d.Obs != nil {
+		d.traceNACK(t.src, t.attempt, delay)
+	}
+	if fn := d.Prof.Backoff; fn != nil {
+		fn(t.src, delay)
+	}
+	t.p.SleepThen(delay, t.retryFn)
+}
+
+// retry re-issues a NACKed transaction after its backoff.
+//
+//ksr:hotpath
+func (t *dirTx) retry() {
+	t.attempt++
+	t.d.fabAccessThen(t.p, t.src, t.dst, t.addr, t.landedFn)
+}
+
+// traceNACK records an absorbed NACK.
+//
+//ksr:coldpath tracing only: reached when the coh category is armed
+func (d *Directory) traceNACK(src, attempt int, delay sim.Time) {
+	d.Obs.Instant(obs.CatCoh, src, "nack",
+		obs.Arg{Key: "attempt", Val: int64(attempt)}, obs.Arg{Key: "backoff_ns", Val: int64(delay)})
 }
 
 // accessAsync is the fire-and-forget analogue of access, used by
@@ -378,37 +495,41 @@ func (e *InvariantError) Error() string {
 		e.At, uint64(e.SubPage), e.Desc)
 }
 
+// invariantErr builds the error for a violated invariant.
+//
+//ksr:coldpath error route
+func (d *Directory) invariantErr(sp memory.SubPageID, format string, args ...any) *InvariantError {
+	return &InvariantError{SubPage: sp, At: d.eng.Now(), Desc: fmt.Sprintf(format, args...)}
+}
+
 // checkEntry validates one directory entry against the protocol
 // invariants. It returns nil when the entry is consistent.
 func (d *Directory) checkEntry(sp memory.SubPageID, en *entry) *InvariantError {
-	fail := func(format string, args ...any) *InvariantError {
-		return &InvariantError{SubPage: sp, At: d.eng.Now(), Desc: fmt.Sprintf(format, args...)}
-	}
 	n := len(en.holders)
 	if len(en.placeholders) < n {
 		n = len(en.placeholders)
 	}
 	for wi := 0; wi < n; wi++ {
 		if both := en.holders[wi] & en.placeholders[wi]; both != 0 {
-			return fail("cell %d is simultaneously a holder and a place-holder",
+			return d.invariantErr(sp, "cell %d is simultaneously a holder and a place-holder",
 				wi<<6+bits.TrailingZeros64(both))
 		}
 	}
 	if en.owner >= d.cells {
-		return fail("owner %d out of range", en.owner)
+		return d.invariantErr(sp, "owner %d out of range", en.owner)
 	}
 	if en.atomic && en.owner < 0 {
-		return fail("atomic state with no owner")
+		return d.invariantErr(sp, "atomic state with no owner")
 	}
 	// Exactly-one-exclusive-owner: a writable (exclusive or atomic) copy
 	// belongs to the recorded owner, the owner's copy is valid, and no
 	// other writable copy can exist because IsWritable additionally
 	// requires being the sole holder.
 	if en.owner >= 0 && !en.holders.has(en.owner) {
-		return fail("owner %d holds no valid copy (%d holders)", en.owner, en.holders.count())
+		return d.invariantErr(sp, "owner %d holds no valid copy (%d holders)", en.owner, en.holders.count())
 	}
 	if en.readsInFlight < 0 {
-		return fail("negative reads-in-flight counter %d", en.readsInFlight)
+		return d.invariantErr(sp, "negative reads-in-flight counter %d", en.readsInFlight)
 	}
 	return nil
 }
@@ -511,11 +632,37 @@ func (d *Directory) Version(sp memory.SubPageID) uint64 {
 }
 
 // WaitChange parks p until sp's version exceeds since. If it already does,
-// it returns immediately: no wakeup can be lost.
+// it returns immediately: no wakeup can be lost. It is WaitChangeThen run
+// to completion.
 func (d *Directory) WaitChange(p *sim.Process, sp memory.SubPageID, since uint64) {
-	en := d.get(sp)
-	for en.version <= since {
-		d.condOf(en, sp).Wait(p)
+	p.Run(func() { d.WaitChangeThen(p, sp, since, nil) })
+}
+
+// WaitChangeThen is the continuation form of WaitChange, for use inside
+// p's Run step: next (nil ends the chain) runs once sp's version exceeds
+// since — at once if it already does.
+//
+//ksr:hotpath
+func (d *Directory) WaitChangeThen(p *sim.Process, sp memory.SubPageID, since uint64, next func()) {
+	t := d.tx(p)
+	t.sp, t.en, t.since, t.changed = sp, d.get(sp), since, next
+	t.recheck()
+}
+
+// recheck waits on the sub-page's watchers until its version moves past
+// the one the waiter saw; a broadcast without a version change (a fill,
+// a lost ownership race) parks it again.
+//
+//ksr:hotpath
+func (t *dirTx) recheck() {
+	if t.en.version <= t.since {
+		t.d.condOf(t.en, t.sp).WaitThen(t.p, t.recheckFn)
+		return
+	}
+	next := t.changed
+	t.changed = nil
+	if next != nil {
+		next()
 	}
 }
 
@@ -557,8 +704,7 @@ func (d *Directory) invalidateOthers(en *entry, sp memory.SubPageID, keep int) i
 	if n > 0 {
 		d.stats.Invalidations += uint64(n)
 		if d.Obs != nil {
-			d.Obs.Instant(obs.CatCoh, keep, "inv",
-				obs.Arg{Key: "sp", Val: int64(sp)}, obs.Arg{Key: "copies", Val: int64(n)})
+			d.traceInv(keep, sp, n)
 		}
 	}
 	if d.Checked {
@@ -568,9 +714,8 @@ func (d *Directory) invalidateOthers(en *entry, sp memory.SubPageID, keep int) i
 				w &^= 1 << (keep & 63)
 			}
 			if w != 0 {
-				d.record(&InvariantError{SubPage: sp, At: d.eng.Now(),
-					Desc: fmt.Sprintf("cell %d's copy survived invalidation (keep=%d)",
-						wi<<6+bits.TrailingZeros64(w), keep)})
+				d.record(d.invariantErr(sp, "cell %d's copy survived invalidation (keep=%d)",
+					wi<<6+bits.TrailingZeros64(w), keep))
 			}
 		}
 	}
@@ -579,6 +724,14 @@ func (d *Directory) invalidateOthers(en *entry, sp memory.SubPageID, keep int) i
 		en.cond.Broadcast()
 	}
 	return n
+}
+
+// traceInv records an invalidation of copies other than keep's.
+//
+//ksr:coldpath tracing only: reached when the coh category is armed
+func (d *Directory) traceInv(keep int, sp memory.SubPageID, copies int) {
+	d.Obs.Instant(obs.CatCoh, keep, "inv",
+		obs.Arg{Key: "sp", Val: int64(sp)}, obs.Arg{Key: "copies", Val: int64(copies)})
 }
 
 // snarf revalidates every place-holder: a read response on the ring fills
@@ -750,37 +903,79 @@ func (d *Directory) EnsureWritable(p *sim.Process, cell int, sp memory.SubPageID
 // GetSubPage attempts the get_sub_page instruction: acquire sp in atomic
 // state. The request costs a ring transaction whether or not it succeeds
 // (the packet must circulate to discover the atomic state). It reports
-// success and the latency.
+// success and the latency: GetSubPageThen run to completion.
 func (d *Directory) GetSubPage(p *sim.Process, cell int, sp memory.SubPageID) (bool, sim.Time) {
+	t := d.tx(p)
+	p.Run(func() { d.GetSubPageThen(p, cell, sp, nil) })
+	return t.ok, t.lat
+}
+
+// GetSubPageThen is the continuation form of GetSubPage, for use inside
+// p's Run step: done (nil ends the chain) receives the outcome and
+// latency once the request has circulated.
+//
+//ksr:hotpath
+func (d *Directory) GetSubPageThen(p *sim.Process, cell int, sp memory.SubPageID, done func(ok bool, lat sim.Time)) {
+	t := d.tx(p)
 	en := d.get(sp)
 	d.stats.GSPAttempts++
 	dst := d.responder(en, cell)
 	if x := d.crossDomainTarget(cell, en.holders); x >= 0 {
 		dst = x
 	}
-	lat := d.access(p, cell, dst, sp.Base())
-	if en.atomic {
-		if en.owner == cell {
-			return true, lat // re-acquire by owner is a no-op
-		}
+	t.cell, t.sp, t.en, t.gspDone = cell, sp, en, done
+	d.accessThen(t, cell, dst, sp.Base(), t.gspLandedFn)
+}
+
+// gspLanded settles a get_sub_page attempt once its request has
+// circulated: it fails if another cell holds the sub-page atomically,
+// otherwise it takes the sub-page in atomic state.
+//
+//ksr:hotpath
+func (t *dirTx) gspLanded() {
+	d, en, cell, sp := t.d, t.en, t.cell, t.sp
+	switch {
+	case en.atomic && en.owner == cell:
+		t.ok = true // re-acquire by owner is a no-op
+	case en.atomic:
+		t.ok = false
 		d.stats.GSPFailures++
 		if d.Obs != nil {
-			d.Obs.Instant(obs.CatCoh, cell, "gsp.fail", obs.Arg{Key: "sp", Val: int64(sp)},
-				obs.Arg{Key: "owner", Val: int64(en.owner)})
+			d.traceGSPFail(cell, sp, en.owner)
 		}
-		return false, lat
+	default:
+		t.ok = true
+		d.invalidateOthers(en, sp, cell)
+		en.holders.set(cell)
+		en.placeholders.clear(cell)
+		en.owner = cell
+		en.atomic = true
+		if d.Obs != nil {
+			d.traceGSPAcquire(cell, sp, t.lat)
+		}
+		d.checkpoint(sp, en)
 	}
-	d.invalidateOthers(en, sp, cell)
-	en.holders.set(cell)
-	en.placeholders.clear(cell)
-	en.owner = cell
-	en.atomic = true
-	if d.Obs != nil {
-		d.Obs.CompleteAt(obs.CatCoh, cell, "gsp.acquire", d.eng.Now()-lat, d.eng.Now(),
-			obs.Arg{Key: "sp", Val: int64(sp)})
+	done := t.gspDone
+	t.gspDone = nil
+	if done != nil {
+		done(t.ok, t.lat)
 	}
-	d.checkpoint(sp, en)
-	return true, lat
+}
+
+// traceGSPFail records a get_sub_page that found sp held by owner.
+//
+//ksr:coldpath tracing only: reached when the coh category is armed
+func (d *Directory) traceGSPFail(cell int, sp memory.SubPageID, owner int) {
+	d.Obs.Instant(obs.CatCoh, cell, "gsp.fail", obs.Arg{Key: "sp", Val: int64(sp)},
+		obs.Arg{Key: "owner", Val: int64(owner)})
+}
+
+// traceGSPAcquire records a successful get_sub_page of latency lat.
+//
+//ksr:coldpath tracing only: reached when the coh category is armed
+func (d *Directory) traceGSPAcquire(cell int, sp memory.SubPageID, lat sim.Time) {
+	d.Obs.CompleteAt(obs.CatCoh, cell, "gsp.acquire", d.eng.Now()-lat, d.eng.Now(),
+		obs.Arg{Key: "sp", Val: int64(sp)})
 }
 
 // ReleaseSubPage executes release_sub_page: drop the atomic state. The

@@ -1,0 +1,165 @@
+package experiments
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/ksync"
+	"repro/internal/machine"
+	"repro/internal/memory"
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
+
+// faultCase is one small contended, fault-injected run for the fault-path
+// golden: a machine config, how many processors run, and the one cell
+// that fail-stops — on coherent machines while its processor is inside a
+// lock acquisition.
+type faultCase struct {
+	label    string
+	cfg      machine.Config
+	procs    int
+	failCell int
+}
+
+// faultCases covers the transaction paths the golden trace of
+// TestGoldenChromeTrace never reaches: a two-level ring with one slot per
+// sub-ring (contended slot grants, ARD crossings) under slot loss, link
+// degradation and coherence NACKs; a Symmetry bus under NACKs; and a
+// Butterfly whose memory modules serialize contended fetch-and-adds. On
+// both coherent machines one cell fail-stops in the middle of a
+// contended get_sub_page retry loop.
+func faultCases() []faultCase {
+	ring := machine.KSR1(8)
+	ring.Ring.LeafSize = 4
+	ring.Ring.ARDCross = 1000
+	ring.Ring.SlotsPerSubRing = 1
+	ring.Ring.TopSlotFactor = 1
+	ring.Faults = faults.Config{
+		SlotLossRate:    0.1,
+		LinkDegradeRate: 0.1,
+		NACKRate:        0.1,
+		FailStop:        map[int]sim.Time{5: 600 * sim.Microsecond},
+	}
+	bus := machine.Symmetry(6)
+	bus.Faults = faults.Config{
+		NACKRate: 0.15,
+		FailStop: map[int]sim.Time{4: 150 * sim.Microsecond},
+	}
+	bfly := machine.Butterfly(6)
+	bfly.Faults = faults.Config{
+		FailStop: map[int]sim.Time{2: 10 * sim.Microsecond},
+	}
+	return []faultCase{
+		{label: "faults/ring", cfg: ring, procs: 6, failCell: 5},
+		{label: "faults/bus", cfg: bus, procs: 6, failCell: 4},
+		{label: "faults/butterfly", cfg: bfly, procs: 6, failCell: 2},
+	}
+}
+
+// runFaultCase runs one case fully observed into rec and returns the
+// machine's final counters, engine event count and simulated end time as
+// text. Coherent machines contend on a hardware lock guarding a shared
+// counter; the butterfly hammers one fetch-and-add word.
+func runFaultCase(t *testing.T, fc faultCase, rec *obs.Recorder) string {
+	t.Helper()
+	cfg := fc.cfg
+	cfg.Obs = rec
+	m := machine.New(cfg)
+	ctr := m.AllocWords("ctr", 1).At(0)
+	data := m.Alloc("data", 4*memory.SubPageSize)
+	lock := ksync.NewHWLock(m)
+	inAcquire := make([]bool, fc.procs)
+	failedInAcquire := -1
+	_, err := m.Run(fc.procs, func(p *machine.Proc) {
+		id := p.CellID()
+		defer func() {
+			// Runs while a fail-stop unwinds the cell, before Run's recover.
+			if inAcquire[id] {
+				failedInAcquire = id
+			}
+		}()
+		for i := 0; i < 2; i++ {
+			if cfg.Coherent {
+				inAcquire[id] = true
+				lock.Acquire(p)
+				inAcquire[id] = false
+				v := p.ReadWord(ctr)
+				p.Compute(200)
+				p.WriteWord(ctr, v+1)
+				lock.Release(p)
+			} else {
+				p.FetchAdd(ctr, 1)
+			}
+			p.ReadRange(data.At(int64(id%4)*memory.SubPageSize), 2, memory.WordSize)
+			p.Compute(100)
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", fc.label, err)
+	}
+	if failed := m.FailedCells(); len(failed) != 1 || failed[0] != fc.failCell {
+		t.Fatalf("%s: failed cells %v, want [%d]", fc.label, failed, fc.failCell)
+	}
+	if cfg.Coherent && failedInAcquire != fc.failCell {
+		t.Fatalf("%s: cell %d's fail-stop did not land inside its lock acquisition", fc.label, fc.failCell)
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%s sim.now_ns %d\n", fc.label, m.Now().Ns())
+	fmt.Fprintf(&b, "%s sim.events %d\n", fc.label, m.Engine().EventsExecuted())
+	fmt.Fprintf(&b, "%s failed_cells %v\n", fc.label, m.FailedCells())
+	for _, c := range m.Counters() {
+		fmt.Fprintf(&b, "%s %s %g\n", fc.label, c.Name, c.Value)
+	}
+	return b.String()
+}
+
+// TestGoldenFaultTrace pins the CatAll Chrome trace and the final counters
+// of the fault-path runs. The engine's continuation steps must reproduce
+// every event, RNG draw and hook call of the blocking transaction paths,
+// including slot-loss re-acquires, NACK backoff and a fail-stop that
+// comes due between get_sub_page attempts, so both files are
+// byte-identical across engine changes. Regenerate after an intentional
+// model or instrumentation change with:
+//
+//	KSRSIM_UPDATE_GOLDEN=1 go test ./internal/experiments -run GoldenFaultTrace
+func TestGoldenFaultTrace(t *testing.T) {
+	sess := obs.NewSession(obs.Options{Cats: obs.CatAll, SampleEvery: 100_000})
+	var counters bytes.Buffer
+	for _, fc := range faultCases() {
+		counters.WriteString(runFaultCase(t, fc, sess.Recorder(fc.label)))
+	}
+	trace := sess.TraceJSON()
+	if err := obs.ValidateTrace(trace); err != nil {
+		t.Fatalf("fault trace fails schema validation: %v", err)
+	}
+	files := []struct {
+		name string
+		data []byte
+	}{
+		{"golden_fault_trace.json", trace},
+		{"golden_fault_counters.txt", counters.Bytes()},
+	}
+	for _, f := range files {
+		path := filepath.Join("testdata", f.name)
+		if os.Getenv("KSRSIM_UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(path, f.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("updated %s (%d bytes)", path, len(f.data))
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with KSRSIM_UPDATE_GOLDEN=1 to create): %v", err)
+		}
+		if !bytes.Equal(f.data, want) {
+			t.Errorf("%s diverged from golden file (%d bytes vs %d); if intentional, regenerate with KSRSIM_UPDATE_GOLDEN=1",
+				f.name, len(f.data), len(want))
+		}
+	}
+}

@@ -39,6 +39,24 @@ type Butterfly struct {
 	mods   []*sim.Resource
 	trk    tracker
 	rec    *obs.Recorder // nil = no tracing
+	txs    []*bflyTx     // per-process synchronous transactions, by process id
+}
+
+// bflyTx is one process's synchronous butterfly transaction as a chain of
+// continuation steps; like ringTx, one record per process.
+type bflyTx struct {
+	bf    *Butterfly
+	p     *sim.Process
+	done  func()
+	src   int
+	mod   int
+	start sim.Time
+	wait  sim.Time
+
+	arrivedFn  func()
+	grantedFn  func(sim.Time)
+	servedFn   func()
+	returnedFn func()
 }
 
 // NewButterfly builds a butterfly fabric with one memory module per cell.
@@ -80,24 +98,95 @@ func (bf *Butterfly) SetObs(rec *obs.Recorder) {
 	}
 }
 
-// Access implements Fabric. dst is ignored: on a NUMA machine without
-// coherent caches the responder is always the home module of addr.
+// Access implements Fabric: AccessThen run to completion.
 func (bf *Butterfly) Access(p *sim.Process, src, dst int, addr memory.Addr) sim.Time {
 	start := bf.eng.Now()
+	p.Run(func() { bf.AccessThen(p, src, dst, addr, nil) })
+	return bf.eng.Now() - start
+}
+
+// AccessThen implements Fabric: traverse the MIN, queue for the home
+// module, and take the response path back. dst is ignored: on a NUMA
+// machine without coherent caches the responder is always the home
+// module of addr.
+//
+//ksr:hotpath
+func (bf *Butterfly) AccessThen(p *sim.Process, src, dst int, addr memory.Addr, done func()) {
+	t := bf.tx(p)
+	t.start = bf.eng.Now()
 	bf.trk.begin()
-	mod := bf.mods[bf.HomeModule(addr)]
-	p.Sleep(sim.Time(bf.stages) * bf.cfg.HopTime) // traverse the MIN
-	wait := mod.Acquire(p)
-	p.Sleep(bf.cfg.MemTime)
-	mod.Release()
-	p.Sleep(sim.Time(bf.stages) * bf.cfg.HopTime) // response path
-	lat := bf.eng.Now() - start
-	bf.trk.end(lat, wait, true)
-	if bf.rec != nil {
-		bf.rec.CompleteAt(obs.CatRing, src, "bfly.tx", start, bf.eng.Now(),
-			obs.Arg{Key: "mod", Val: int64(bf.HomeModule(addr))}, obs.Arg{Key: "wait_ns", Val: int64(wait)})
+	t.src, t.mod, t.done = src, bf.HomeModule(addr), done
+	p.SleepThen(sim.Time(bf.stages)*bf.cfg.HopTime, t.arrivedFn)
+}
+
+// tx returns p's transaction record.
+func (bf *Butterfly) tx(p *sim.Process) *bflyTx {
+	if id := p.ID(); id < len(bf.txs) && bf.txs[id] != nil {
+		return bf.txs[id]
 	}
-	return lat
+	return bf.newTx(p)
+}
+
+// newTx creates p's transaction record on its first synchronous
+// transaction; every later one reuses it.
+//
+//ksr:coldpath once per process
+func (bf *Butterfly) newTx(p *sim.Process) *bflyTx {
+	for len(bf.txs) <= p.ID() {
+		bf.txs = append(bf.txs, nil)
+	}
+	t := &bflyTx{bf: bf, p: p}
+	t.arrivedFn, t.grantedFn, t.servedFn, t.returnedFn = t.arrived, t.granted, t.served, t.returned
+	bf.txs[p.ID()] = t
+	return t
+}
+
+// arrived queues the request at its home module.
+//
+//ksr:hotpath
+func (t *bflyTx) arrived() {
+	t.bf.mods[t.mod].AcquireThen(t.p, t.grantedFn)
+}
+
+// granted holds the module for one memory access.
+//
+//ksr:hotpath
+func (t *bflyTx) granted(wait sim.Time) {
+	t.wait = wait
+	t.p.SleepThen(t.bf.cfg.MemTime, t.servedFn)
+}
+
+// served frees the module and sends the response back through the MIN.
+//
+//ksr:hotpath
+func (t *bflyTx) served() {
+	bf := t.bf
+	bf.mods[t.mod].Release()
+	t.p.SleepThen(sim.Time(bf.stages)*bf.cfg.HopTime, t.returnedFn)
+}
+
+// returned completes the transaction.
+//
+//ksr:hotpath
+func (t *bflyTx) returned() {
+	bf := t.bf
+	bf.trk.end(bf.eng.Now()-t.start, t.wait, true)
+	if bf.rec != nil {
+		bf.traceTx(t.src, t.mod, t.start, t.wait)
+	}
+	done := t.done
+	t.done = nil
+	if done != nil {
+		done()
+	}
+}
+
+// traceTx records one synchronous transaction.
+//
+//ksr:coldpath tracing only: reached when the ring category is armed
+func (bf *Butterfly) traceTx(src, mod int, start, wait sim.Time) {
+	bf.rec.CompleteAt(obs.CatRing, src, "bfly.tx", start, bf.eng.Now(),
+		obs.Arg{Key: "mod", Val: int64(mod)}, obs.Arg{Key: "wait_ns", Val: int64(wait)})
 }
 
 // AccessAsync implements Fabric.

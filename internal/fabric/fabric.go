@@ -31,8 +31,14 @@ type Fabric interface {
 
 	// Access performs one transaction from cell src, answered by cell dst,
 	// for the sub-page containing addr. It blocks p for the full
-	// transaction latency and returns that latency.
+	// transaction latency and returns that latency. It is AccessThen
+	// run to completion (sim.Process.Run).
 	Access(p *sim.Process, src, dst int, addr memory.Addr) sim.Time
+
+	// AccessThen is the continuation form of Access, for use inside p's
+	// sim Run step: the same transaction, with the same events, as a
+	// chain of steps that calls done (nil ends the chain) on completion.
+	AccessThen(p *sim.Process, src, dst int, addr memory.Addr, done func())
 
 	// AccessAsync performs a transaction that no process waits on (the
 	// KSR-1 poststore: the issuing processor continues while the updated

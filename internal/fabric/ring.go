@@ -93,9 +93,37 @@ type Ring struct {
 	trk  tracker
 	inj  *faults.Injector // nil = no fault injection
 	rec  *obs.Recorder    // nil = no tracing
+	txs  []*ringTx        // per-process synchronous transactions, by process id
 
 	crossTransactions uint64
 }
+
+// ringTx is one process's synchronous ring transaction, run as a chain of
+// continuation steps (see sim.Process.Run). A process has at most one in
+// flight, so each keeps one record for all its transactions, with the
+// step method values bound once.
+type ringTx struct {
+	r    *Ring
+	p    *sim.Process
+	done func() // continuation after the transaction, nil ends the chain
+
+	src, dst int
+	path     [maxPath]*sim.Resource
+	hops     int // rings on the path
+	hop      int // ring being crossed
+	lost     int // consecutive slot losses on this hop
+	start    sim.Time
+	hopStart sim.Time
+	wait     sim.Time
+
+	claimFn   func()
+	grantedFn func(sim.Time)
+	heldFn    func()
+	hopDoneFn func()
+}
+
+// maxPath is the longest ring path: leaf, level-1 ring, leaf.
+const maxPath = 3
 
 // NewRing builds a ring fabric. It panics on nonsensical configuration.
 func NewRing(e *sim.Engine, cfg RingConfig) *Ring {
@@ -166,62 +194,164 @@ func (r *Ring) subring(addr memory.Addr) int {
 	return int(uint64(addr.SubPage()) % uint64(r.cfg.SubRings))
 }
 
-// path returns the ordered list of ring resources a src->dst transaction
-// occupies.
-func (r *Ring) path(src, dst int, addr memory.Addr) []*sim.Resource {
+// path returns the ordered ring resources a src->dst transaction
+// occupies and how many there are.
+func (r *Ring) path(src, dst int, addr memory.Addr) (path [maxPath]*sim.Resource, hops int) {
 	s := r.subring(addr)
 	ls, ld := r.leafOf(src), r.leafOf(dst)
 	if ls == ld {
-		return []*sim.Resource{r.leaf[ls][s]}
+		path[0] = r.leaf[ls][s]
+		return path, 1
 	}
-	return []*sim.Resource{r.leaf[ls][s], r.top[s], r.leaf[ld][s]}
+	path[0], path[1], path[2] = r.leaf[ls][s], r.top[s], r.leaf[ld][s]
+	return path, 3
 }
 
-// Access implements Fabric. The transaction occupies one slot per ring on
-// its path for one rotation each, plus fixed overhead.
+// Access implements Fabric: AccessThen run to completion.
 func (r *Ring) Access(p *sim.Process, src, dst int, addr memory.Addr) sim.Time {
 	start := r.eng.Now()
+	p.Run(func() { r.AccessThen(p, src, dst, addr, nil) })
+	return r.eng.Now() - start
+}
+
+// AccessThen implements Fabric. The transaction occupies one slot per
+// ring on its path for one rotation each, plus fixed overhead.
+//
+//ksr:hotpath
+func (r *Ring) AccessThen(p *sim.Process, src, dst int, addr memory.Addr, done func()) {
+	t := r.tx(p)
+	t.start = r.eng.Now()
 	r.trk.begin()
-	path := r.path(src, dst, addr)
-	if len(path) > 1 {
+	t.path, t.hops = r.path(src, dst, addr)
+	if t.hops > 1 {
 		r.crossTransactions++
 	}
-	var wait sim.Time
-	for hi, res := range path {
-		if hi > 0 && r.cfg.ARDCross > 0 {
-			p.Sleep(r.cfg.ARDCross) // ARD hand-off between ring levels
-		}
-		// One slot for one rotation; an injected slot loss corrupts the
-		// packet in transit and it re-circulates, claiming a fresh slot
-		// for another full rotation. A degraded link stretches the hold.
-		// Consecutive losses are bounded by the injector's MaxRetries.
-		hopStart := r.eng.Now()
-		for n := 0; ; n++ {
-			wait += res.Acquire(p)
-			if r.rec != nil {
-				r.rec.Count(obs.CatRing, 0, res.Name(), int64(res.InUse()))
-			}
-			p.Sleep(r.inj.DegradedHold(r.cfg.SlotHold))
-			res.Release()
-			if r.rec != nil {
-				r.rec.Count(obs.CatRing, 0, res.Name(), int64(res.InUse()))
-			}
-			if !r.inj.SlotLost(n) {
-				break
-			}
-		}
-		if r.rec != nil {
-			r.rec.CompleteAt(obs.CatRing, src, res.Name(), hopStart, r.eng.Now())
-		}
-		p.Sleep(r.cfg.Overhead)
+	t.src, t.dst, t.done = src, dst, done
+	t.hop, t.wait = 0, 0
+	t.enterHop()
+}
+
+// tx returns p's transaction record.
+func (r *Ring) tx(p *sim.Process) *ringTx {
+	if id := p.ID(); id < len(r.txs) && r.txs[id] != nil {
+		return r.txs[id]
 	}
-	lat := r.eng.Now() - start
-	r.trk.end(lat, wait, true)
+	return r.newTx(p)
+}
+
+// newTx creates p's transaction record on its first synchronous
+// transaction; every later one reuses it.
+//
+//ksr:coldpath once per process
+func (r *Ring) newTx(p *sim.Process) *ringTx {
+	for len(r.txs) <= p.ID() {
+		r.txs = append(r.txs, nil)
+	}
+	t := &ringTx{r: r, p: p}
+	t.claimFn, t.grantedFn, t.heldFn, t.hopDoneFn = t.claim, t.granted, t.held, t.hopDone
+	r.txs[p.ID()] = t
+	return t
+}
+
+// enterHop starts crossing ring t.hop, after the ARD hand-off between
+// ring levels when the path has one.
+//
+//ksr:hotpath
+func (t *ringTx) enterHop() {
+	if t.hop > 0 && t.r.cfg.ARDCross > 0 {
+		t.p.SleepThen(t.r.cfg.ARDCross, t.claimFn)
+		return
+	}
+	t.claim()
+}
+
+// claim takes one slot on the hop's ring for one rotation. An injected
+// slot loss corrupts the packet in transit and it re-circulates, claiming
+// a fresh slot for another full rotation; a degraded link stretches the
+// hold. Consecutive losses are bounded by the injector's MaxRetries.
+//
+//ksr:hotpath
+func (t *ringTx) claim() {
+	t.hopStart = t.r.eng.Now()
+	t.lost = 0
+	t.path[t.hop].AcquireThen(t.p, t.grantedFn)
+}
+
+// granted holds the claimed slot for one (possibly degraded) rotation.
+//
+//ksr:hotpath
+func (t *ringTx) granted(wait sim.Time) {
+	r := t.r
+	t.wait += wait
 	if r.rec != nil {
-		r.rec.CompleteAt(obs.CatRing, src, "ring.tx", start, r.eng.Now(),
-			obs.Arg{Key: "dst", Val: int64(dst)}, obs.Arg{Key: "wait_ns", Val: int64(wait)})
+		r.traceSlot(t.path[t.hop])
 	}
-	return lat
+	t.p.SleepThen(r.inj.DegradedHold(r.cfg.SlotHold), t.heldFn)
+}
+
+// held releases the slot after its rotation, re-circulating a lost packet
+// or paying the hop's fixed overhead.
+//
+//ksr:hotpath
+func (t *ringTx) held() {
+	r, res := t.r, t.path[t.hop]
+	res.Release()
+	if r.rec != nil {
+		r.traceSlot(res)
+	}
+	if r.inj.SlotLost(t.lost) {
+		t.lost++
+		res.AcquireThen(t.p, t.grantedFn)
+		return
+	}
+	if r.rec != nil {
+		r.traceHop(t.src, res, t.hopStart)
+	}
+	t.p.SleepThen(r.cfg.Overhead, t.hopDoneFn)
+}
+
+// hopDone moves on to the next ring on the path or completes the
+// transaction.
+//
+//ksr:hotpath
+func (t *ringTx) hopDone() {
+	t.hop++
+	if t.hop < t.hops {
+		t.enterHop()
+		return
+	}
+	r := t.r
+	r.trk.end(r.eng.Now()-t.start, t.wait, true)
+	if r.rec != nil {
+		r.traceTx(t.src, t.dst, t.start, t.wait)
+	}
+	done := t.done
+	t.done = nil
+	if done != nil {
+		done()
+	}
+}
+
+// traceSlot samples res's slot occupancy on its counter track.
+//
+//ksr:coldpath tracing only: reached when the ring category is armed
+func (r *Ring) traceSlot(res *sim.Resource) {
+	r.rec.Count(obs.CatRing, 0, res.Name(), int64(res.InUse()))
+}
+
+// traceHop records one hop's slot occupancy, re-circulations included.
+//
+//ksr:coldpath tracing only: reached when the ring category is armed
+func (r *Ring) traceHop(src int, res *sim.Resource, start sim.Time) {
+	r.rec.CompleteAt(obs.CatRing, src, res.Name(), start, r.eng.Now())
+}
+
+// traceTx records one synchronous transaction.
+//
+//ksr:coldpath tracing only: reached when the ring category is armed
+func (r *Ring) traceTx(src, dst int, start, wait sim.Time) {
+	r.rec.CompleteAt(obs.CatRing, src, "ring.tx", start, r.eng.Now(),
+		obs.Arg{Key: "dst", Val: int64(dst)}, obs.Arg{Key: "wait_ns", Val: int64(wait)})
 }
 
 // AccessAsync implements Fabric: the poststore path. The transaction
@@ -229,13 +359,13 @@ func (r *Ring) Access(p *sim.Process, src, dst int, addr memory.Addr) sim.Time {
 func (r *Ring) AccessAsync(src, dst int, addr memory.Addr, done func()) {
 	r.trk.begin()
 	start := r.eng.Now()
-	path := r.path(src, dst, addr)
-	if len(path) > 1 {
+	path, hops := r.path(src, dst, addr)
+	if hops > 1 {
 		r.crossTransactions++
 	}
 	var step func(i, losses int)
 	step = func(i, losses int) {
-		if i == len(path) {
+		if i == hops {
 			r.trk.end(0, 0, false)
 			if r.rec != nil {
 				r.rec.CompleteAt(obs.CatRing, src, "ring.tx.async", start, r.eng.Now(),
@@ -261,7 +391,7 @@ func (r *Ring) AccessAsync(src, dst int, addr memory.Addr, done func()) {
 					return
 				}
 				d := r.cfg.Overhead
-				if i+1 < len(path) {
+				if i+1 < hops {
 					d += r.cfg.ARDCross // ARD hand-off before the next ring level
 				}
 				r.eng.Schedule(d, func() { step(i+1, 0) })
@@ -290,6 +420,7 @@ func (r *Ring) CrossRingTransactions() uint64 { return r.crossTransactions }
 // UnloadedLatency returns the no-contention latency for a transaction
 // between src and dst — the number the paper publishes as "175 cycles".
 func (r *Ring) UnloadedLatency(src, dst int, addr memory.Addr) sim.Time {
-	hops := sim.Time(len(r.path(src, dst, addr)))
+	_, n := r.path(src, dst, addr)
+	hops := sim.Time(n)
 	return hops*(r.cfg.SlotHold+r.cfg.Overhead) + (hops-1)*r.cfg.ARDCross
 }

@@ -11,9 +11,10 @@
 // tree's zero-alloc idioms: amortized self-append, pooled objects,
 // guarded hook blocks (`if fn := h.X; fn != nil { ... }`), panic
 // arguments, and //ksr:coldpath escape routes are all off-budget.
-// Computed calls (stored func values, like queued event bodies) are a
-// documented blind spot: event bodies are checked where they are
-// declared hot, not where the dispatcher invokes them.
+// Computed calls (stored func values, like queued event bodies and
+// continuation steps) are a documented blind spot: event bodies and
+// steps are checked where they are declared hot, not where the
+// dispatcher invokes them.
 package hotalloc
 
 import (

@@ -295,20 +295,22 @@ func (g *gate) fire() {
 	g.c.Broadcast()
 }
 
-func (g *gate) wait(p *sim.Process) {
-	for !g.open {
-		g.c.Wait(p)
+// waitThen, a continuation step of p, ends p's chain once the gate is
+// open.
+func (g *gate) waitThen(p *sim.Process) {
+	if !g.open {
+		g.c.WaitThen(p, func() { g.waitThen(p) })
 	}
 }
 
-// cross is the shared first half of a cross-ring transaction from p on
-// ring src: the request circulates the source leaf ring to its ARD, then
-// crosses to the hub, rotates the level-1 ring, crosses to ring dst, and
-// circulates dst's leaf ring; then runs fn in dst's partition.
-func (b *BigMachine) cross(p *Proc, src, dst int, addr memory.Addr, async bool, fn func()) {
+// toHub returns the second half of a cross-ring transaction that has
+// circulated ring src's leaf to its ARD: cross to the hub, rotate the
+// level-1 ring, cross to ring dst, circulate dst's leaf ring, then run
+// fn in dst's partition.
+func (b *BigMachine) toHub(src, dst int, addr memory.Addr, fn func()) func() {
 	ard := b.cfg.Ring.ARDCross
 	hubIdx := len(b.rings)
-	toHub := func() {
+	return func() {
 		b.coord.Send(src, hubIdx, ard, func() {
 			b.hub.relay(addr, func() {
 				b.coord.Send(hubIdx, dst, ard, func() {
@@ -318,14 +320,6 @@ func (b *BigMachine) cross(p *Proc, src, dst int, addr memory.Addr, async bool, 
 				})
 			})
 		})
-	}
-	cell := p.CellID()
-	next := (cell + 1) % b.leaf
-	if async {
-		b.rings[src].Fabric().AccessAsync(cell, next, addr, toHub)
-	} else {
-		b.rings[src].Fabric().Access(p.Process(), cell, next, addr)
-		toHub()
 	}
 }
 
@@ -341,11 +335,20 @@ func (b *BigMachine) CrossFetch(p *Proc, src, dst int, addr memory.Addr) sim.Tim
 	}
 	start := p.Now()
 	g := newGate(b.rings[src].Engine(), fmt.Sprintf("cross-fetch ring%d<-ring%d", src, dst))
-	b.cross(p, src, dst, addr, false, func() {
+	toHub := b.toHub(src, dst, addr, func() {
 		// Response re-enters the source ring through its ARD.
 		b.coord.Send(dst, src, b.cfg.Ring.ARDCross, g.fire)
 	})
-	g.wait(p.Process())
+	// The synchronous half — source leaf rotation, hub send, wait for the
+	// response — is one continuation chain. The path allocates its gate
+	// and messages per call anyway, so its steps are plain closures.
+	sp, cell := p.Process(), p.CellID()
+	sp.Run(func() {
+		b.rings[src].Fabric().AccessThen(sp, cell, (cell+1)%b.leaf, addr, func() {
+			toHub()
+			g.waitThen(sp)
+		})
+	})
 	lat := p.Now() - start
 	b.crossTx[src]++
 	b.fetchTx[src]++
@@ -364,7 +367,8 @@ func (b *BigMachine) CrossPost(p *Proc, src, dst int, addr memory.Addr, fn func(
 	if b.hub == nil || src == dst {
 		panic("machine: CrossPost needs two distinct rings")
 	}
-	b.cross(p, src, dst, addr, true, fn)
+	cell := p.CellID()
+	b.rings[src].Fabric().AccessAsync(cell, (cell+1)%b.leaf, addr, b.toHub(src, dst, addr, fn))
 	b.crossTx[src]++
 }
 

@@ -422,9 +422,12 @@ func (m *Machine) SpawnProcsOn(cells []int, namePrefix string, body func(p *Proc
 			// naming them and what they were waiting on.
 			defer func() {
 				if r := recover(); r != nil {
-					if _, ok := r.(cellFailStop); ok {
+					if f, ok := r.(cellFailStop); ok && f.cell == c {
 						return
 					}
+					// Another cell's fail-stop here would mean a
+					// continuation step halted its cell in this one's
+					// goroutine; steps end their chain instead.
 					panic(r)
 				}
 			}()

@@ -22,6 +22,27 @@ type Proc struct {
 	procs int
 
 	bypassSub bool
+
+	gsp gspChain // get_sub_page attempts as one continuation chain
+}
+
+// gspChain runs a Proc's get_sub_page attempts on one sub-page as a
+// single continuation chain (see sim.Process.Run): the attempt, and for
+// AcquireSubPage every failed attempt and the wait for the holder's
+// release, run as engine steps, so the processor's goroutine resumes only
+// once the sub-page is acquired or the single attempt has failed. Its
+// step method values are bound once, on the Proc's first get_sub_page.
+type gspChain struct {
+	p     *Proc
+	sp    memory.SubPageID
+	retry bool     // AcquireSubPage: retry until an attempt succeeds
+	ok    bool     // the chain ended with the sub-page acquired
+	ver   uint64   // sub-page version seen before the current attempt
+	start sim.Time // when the current wait for a release began
+
+	attemptFn func()
+	doneFn    func(ok bool, lat sim.Time)
+	waitedFn  func()
 }
 
 // CellID returns the cell this Proc runs on.
@@ -83,12 +104,19 @@ type cellFailStop struct{ cell int }
 // hardware analogue being that a cell dies between ring interactions,
 // not halfway through owning a slot.
 func (p *Proc) checkFailStop() {
-	c := p.cell
-	if c.failAt > 0 && !c.failed && p.sp.Now() >= c.failAt {
-		c.failed = true
+	if p.failStopDue() {
+		p.cell.failed = true
 		p.m.inj.NoteFailStop()
-		panic(cellFailStop{c.id})
+		panic(cellFailStop{p.cell.id})
 	}
+}
+
+// failStopDue reports whether the cell's fail-stop time has arrived:
+// checkFailStop's test without halting, for continuation steps, which run
+// in other cells' goroutines and so must end their chain instead.
+func (p *Proc) failStopDue() bool {
+	c := p.cell
+	return c.failAt > 0 && !c.failed && p.sp.Now() >= c.failAt
 }
 
 // chargeCycles advances simulated time by n CPU cycles of computation.
@@ -348,21 +376,10 @@ func (p *Proc) accessRange(base memory.Addr, count, stride int64, write bool) {
 func (p *Proc) GetSubPage(addr memory.Addr) bool {
 	p.requireCoherent("GetSubPage")
 	p.checkFailStop()
-	sp := addr.SubPage()
-	ok, lat := p.m.dir.GetSubPage(p.sp, p.cell.id, sp)
-	p.cell.mon.RemoteAccesses++
-	p.cell.mon.RingTime += lat
-	if fn := p.m.prof.Access; fn != nil {
-		fn(p.cell.id, prof.PhaseMemory, lat)
-	}
-	if !ok {
-		p.cell.mon.GSPRetries++
+	if !p.runGSP(addr, false) {
 		return false
 	}
-	// The sub-page arrives with the atomic grant: fill the caches.
-	_, ev := p.cell.local.Touch(addr)
-	p.handleEvictions(ev)
-	p.cell.sub.Touch(addr)
+	p.fillAtomic(addr)
 	return true
 }
 
@@ -372,19 +389,87 @@ func (p *Proc) GetSubPage(addr memory.Addr) bool {
 // ring's forward progress.
 func (p *Proc) AcquireSubPage(addr memory.Addr) {
 	p.requireCoherent("AcquireSubPage")
-	sp := addr.SubPage()
+	// The whole retry loop is one chain. A fail-stop that comes due
+	// between attempts ends it early, and the cell halts here, in its own
+	// goroutine.
 	for {
-		ver := p.m.dir.Version(sp)
-		if p.GetSubPage(addr) {
-			return
-		}
-		start := p.sp.Now()
-		p.m.dir.WaitChange(p.sp, sp, ver)
-		if fn := p.m.prof.Charge; fn != nil {
-			// Parked waiting for the atomic holder to release: lock time.
-			fn(p.cell.id, prof.PhaseLock, p.sp.Now()-start)
+		p.checkFailStop()
+		if p.runGSP(addr, true) {
+			break
 		}
 	}
+	p.fillAtomic(addr)
+}
+
+// runGSP runs get_sub_page on addr's sub-page as one chain — a single
+// attempt, or with retry attempts until one succeeds — and reports
+// whether the sub-page was acquired.
+func (p *Proc) runGSP(addr memory.Addr, retry bool) bool {
+	g := &p.gsp
+	if g.p == nil {
+		g.p = p
+		g.attemptFn, g.doneFn, g.waitedFn = g.attempt, g.done, g.waited
+	}
+	g.sp, g.retry, g.ok = addr.SubPage(), retry, false
+	p.sp.Run(g.attemptFn)
+	return g.ok
+}
+
+// fillAtomic fills the caches with an acquired sub-page, which arrives
+// with the atomic grant.
+func (p *Proc) fillAtomic(addr memory.Addr) {
+	_, ev := p.cell.local.Touch(addr)
+	p.handleEvictions(ev)
+	p.cell.sub.Touch(addr)
+}
+
+// attempt issues one get_sub_page, unless the cell's fail-stop has come
+// due: then the chain ends and AcquireSubPage halts the cell.
+//
+//ksr:hotpath
+func (g *gspChain) attempt() {
+	p := g.p
+	if p.failStopDue() {
+		return
+	}
+	g.ver = p.m.dir.Version(g.sp)
+	p.m.dir.GetSubPageThen(p.sp, p.cell.id, g.sp, g.doneFn)
+}
+
+// done charges an attempt's transit. A success ends the chain; a failure
+// under retry waits for the sub-page to change before the next attempt.
+//
+//ksr:hotpath
+func (g *gspChain) done(ok bool, lat sim.Time) {
+	p := g.p
+	c := p.cell
+	c.mon.RemoteAccesses++
+	c.mon.RingTime += lat
+	if fn := p.m.prof.Access; fn != nil {
+		fn(c.id, prof.PhaseMemory, lat)
+	}
+	if ok {
+		g.ok = true
+		return
+	}
+	c.mon.GSPRetries++
+	if !g.retry {
+		return
+	}
+	g.start = p.sp.Now()
+	p.m.dir.WaitChangeThen(p.sp, g.sp, g.ver, g.waitedFn)
+}
+
+// waited charges the wait for the atomic holder's release as lock time
+// and retries.
+//
+//ksr:hotpath
+func (g *gspChain) waited() {
+	p := g.p
+	if fn := p.m.prof.Charge; fn != nil {
+		fn(p.cell.id, prof.PhaseLock, p.sp.Now()-g.start)
+	}
+	g.attempt()
 }
 
 // ReleaseSubPage executes release_sub_page on the sub-page holding addr.

@@ -28,8 +28,20 @@ func (c *Cond) Wait(p *Process) {
 	p.block(c.blockWhy)
 }
 
+// WaitThen is the continuation form of Wait, for use inside p's Run
+// step: it parks p until the next Broadcast and runs next (nil ends the
+// chain) when the wake fires.
+//
+//ksr:hotpath
+func (c *Cond) WaitThen(p *Process, next func()) {
+	p.armBlocked(c.blockWhy, next)
+	c.waiters = append(c.waiters, p)
+}
+
 // Broadcast wakes every current waiter, in wait order. New waiters that
-// arrive after the broadcast wait for the next one.
+// arrive after the broadcast wait for the next one. The waiter slice is
+// reused: Broadcast only schedules the resumes and never runs them, so no
+// new waiter can join while it iterates.
 //
 //ksr:hotpath
 func (c *Cond) Broadcast() {
@@ -37,12 +49,12 @@ func (c *Cond) Broadcast() {
 		return
 	}
 	c.broadcasts++
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
+	for i, p := range c.waiters {
 		c.woken++
 		c.eng.scheduleResume(0, p)
+		c.waiters[i] = nil
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // Waiters returns the number of processes currently waiting.

@@ -65,6 +65,31 @@ func (r *Resource) Acquire(p *Process) Time {
 	return w
 }
 
+// AcquireThen is the continuation form of Acquire, for use inside p's
+// Run step: it claims a unit and calls granted with the simulated time
+// spent waiting — at once when a unit is free, otherwise as the step of
+// the wake the FIFO grant fires. granted may be nil.
+//
+//ksr:hotpath
+func (r *Resource) AcquireThen(p *Process, granted func(wait Time)) {
+	p.mustStep()
+	if r.inUse < r.capacity {
+		r.inUse++
+		r.grants++
+		if granted != nil {
+			granted(0)
+		}
+		return
+	}
+	start := r.eng.now
+	r.q = append(r.q, waiter{proc: p, arrived: start})
+	if len(r.q) > r.maxQueue {
+		r.maxQueue = len(r.q)
+	}
+	p.grantRes, p.grantStart, p.granted = r, start, granted
+	p.armBlocked(r.blockWhy, p.grantStep)
+}
+
 // TryAcquire claims a unit if one is free without waiting, reporting
 // whether it succeeded.
 //

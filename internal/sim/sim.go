@@ -15,6 +15,13 @@
 // steady-state hot paths — Schedule of a plain callback, Sleep, resource
 // handoff, cond broadcast — allocate nothing.
 //
+// Every blocking call also has a continuation form (SleepThen,
+// Resource.AcquireThen, Cond.WaitThen) that arms the wake with a step:
+// engine-only code that the dispatcher runs in whichever goroutine holds
+// the token, so a chain of parks — a ring transaction, a get_sub_page
+// retry loop — costs one goroutine handoff instead of one per park (see
+// Process.Run).
+//
 // The engine is the substrate for the KSR-1 machine model: each simulated
 // processor (cell) is a Process, and the ring, caches, and coherence
 // protocol express their latencies as Sleep calls, Resource acquisitions,
@@ -97,10 +104,12 @@ type Hooks struct {
 	// EventFired runs after a plain callback event is dispatched.
 	EventFired func(at Time)
 	// ProcessResume runs when a process regains control (its resume
-	// event fired), before its goroutine continues.
+	// event fired), before its goroutine or its continuation step
+	// continues.
 	ProcessResume func(at Time, p *Process)
 	// ProcessPark runs when a process parks, with the same reason
-	// string that deadlock reports use.
+	// string that deadlock reports use — also when a continuation step
+	// arms the next wake of its chain.
 	ProcessPark func(at Time, p *Process, why string)
 	// ProcessDone runs when a process body returns.
 	ProcessDone func(at Time, p *Process)
@@ -118,9 +127,11 @@ type Engine struct {
 	mainWake chan struct{} // wakes the Run caller when the loop ends
 	reaped   chan struct{} // Shutdown handshake: one unwound goroutine
 
-	procs   []*Process
-	running *Process // process currently executing, nil if engine itself
-	nlive   int      // spawned but not finished
+	procs    []*Process
+	running  *Process // process currently executing, nil if engine itself
+	stepping *Process // process whose continuation step is executing, nil outside steps
+	nlive    int      // spawned but not finished
+	handoffs uint64   // control-token transfers between goroutines
 
 	stopped  bool
 	shutdown bool
@@ -163,6 +174,15 @@ func (e *Engine) Now() Time { return e.now }
 // callbacks) the engine has dispatched. The PDES coordinator differences
 // it across barrier windows for per-partition occupancy accounting.
 func (e *Engine) EventsExecuted() uint64 { return e.events }
+
+// Handoffs returns how many times the control token has passed from one
+// goroutine to another: a park that resumes a different process (or ends
+// the run), a finishing process handing on, and Run starting the first
+// process. A park the parking process itself is resumed from costs none,
+// and neither does a continuation step. Like EventsExecuted it is a pure
+// function of the event order, so it measures context-switch work
+// independently of the host.
+func (e *Engine) Handoffs() uint64 { return e.handoffs }
 
 // SetDeadline makes Run return once simulated time reaches t. A zero
 // deadline (the default) means no limit. A Run abandoned at its deadline
@@ -269,6 +289,22 @@ type Process struct {
 	blocked    bool   // parked with no pending resume event
 	blockWhy   string // human-readable reason, for deadlock reports
 	blockSince Time   // when the process last parked without a resume event
+
+	// Continuation state (see Run). armed marks a wake armed by a Then
+	// form: when it fires, the dispatcher runs step (nil: none) instead
+	// of resuming the goroutine, and parks again with stepWhy if the
+	// step armed another wake.
+	armed   bool
+	step    func()
+	stepWhy string
+
+	// A contended AcquireThen's bookkeeping, kept here rather than in a
+	// closure so the grant allocates nothing; grantStep is p.finishGrant,
+	// bound once at Spawn.
+	grantRes   *Resource
+	grantStart Time
+	granted    func(wait Time)
+	grantStep  func()
 }
 
 // Name returns the name given at Spawn.
@@ -297,6 +333,7 @@ func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 		id:   len(e.procs),
 	}
 	p.timer.proc = p
+	p.grantStep = p.finishGrant
 	e.procs = append(e.procs, p)
 	e.nlive++
 	//lint:ignore ksrlint/simprocess Spawn is the engine-mediated path itself: the control token guarantees exactly one of these goroutines is ever runnable
@@ -321,7 +358,9 @@ func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 		p.done = true
 		e.nlive--
 		// The finishing goroutine keeps dispatching until control moves on.
-		if next := e.dispatch(nil); next != nil {
+		next := e.dispatch(nil)
+		e.handoffs++
+		if next != nil {
 			next.wake <- struct{}{}
 		} else {
 			e.mainWake <- struct{}{}
@@ -389,6 +428,15 @@ func (e *Engine) dispatch(self *Process) *Process {
 			if fn := e.hooks.ProcessResume; fn != nil {
 				fn(ev.at, p)
 			}
+			if p.armed && e.runStep(p) {
+				// The step armed the next wake: p parks again right here,
+				// exactly as its goroutine would have, and dispatch goes on.
+				p.blockWhy = p.stepWhy
+				if fn := e.hooks.ProcessPark; fn != nil {
+					fn(e.now, p, p.stepWhy)
+				}
+				continue
+			}
 			e.running = p
 			return p
 		}
@@ -401,6 +449,22 @@ func (e *Engine) dispatch(self *Process) *Process {
 	}
 }
 
+// runStep runs p's armed continuation step (its wake just fired) and
+// reports whether the step armed another wake; false means the chain has
+// ended and p's goroutine resumes.
+//
+//ksr:hotpath
+func (e *Engine) runStep(p *Process) bool {
+	p.armed = false
+	if step := p.step; step != nil {
+		p.step = nil
+		e.stepping = p
+		step()
+		e.stepping = nil
+	}
+	return p.armed
+}
+
 // park suspends the calling process until the engine resumes it. The
 // parking goroutine dispatches further events itself; control returns
 // either directly (the next event resumed this same process) or through
@@ -409,6 +473,10 @@ func (e *Engine) dispatch(self *Process) *Process {
 //ksr:hotpath
 func (p *Process) park(why string) {
 	e := p.eng
+	if e.stepping != nil {
+		panic("sim: blocking call (" + why + ") inside a continuation step of process " +
+			e.stepping.name + "; steps must use the Then forms")
+	}
 	if e.shutdown {
 		// A deferred call parked again while unwinding for Shutdown.
 		p.reap = true
@@ -420,6 +488,7 @@ func (p *Process) park(why string) {
 	}
 	next := e.dispatch(p)
 	if next != p {
+		e.handoffs++
 		if next != nil {
 			next.wake <- struct{}{}
 		} else {
@@ -454,6 +523,94 @@ func (p *Process) block(why string) {
 	p.blocked = true
 	p.blockSince = p.eng.now
 	p.park(why)
+}
+
+// Run executes step on behalf of p, in p's own goroutine, and returns
+// once the chain of continuations it starts has ended. A step is
+// engine-only code between two parks: it may do what engine callbacks do
+// (schedule events, release resources, broadcast conds, draw from RNGs,
+// call hooks) and ends by arming at most one wake through a Then form —
+// SleepThen, Resource.AcquireThen, Cond.WaitThen — which names the next
+// step. When that wake fires, the dispatcher runs the next step in
+// whichever goroutine holds the control token instead of handing the
+// token back to p; only when a step arms nothing does p's goroutine
+// resume and Run return. Every event, hook call and park reason is
+// exactly what the blocking calls would produce, so a chain changes host
+// time only: one goroutine handoff per chain instead of one per park.
+//
+// Steps run in other processes' goroutines, so they must never run
+// simulated-program code, block (Sleep, Acquire, Wait, Run all panic
+// inside a step), or panic to unwind p. Run must be called by p itself.
+func (p *Process) Run(step func()) {
+	e := p.eng
+	if e.stepping != nil {
+		panic("sim: Run inside a continuation step of process " + e.stepping.name)
+	}
+	e.stepping = p
+	step()
+	e.stepping = nil
+	if p.armed {
+		p.park(p.stepWhy)
+	}
+}
+
+// arm records next as the step to run when p's wake fires. Only p's own
+// running step may arm a wake, and only one.
+//
+//ksr:hotpath
+func (p *Process) arm(why string, next func()) {
+	p.mustStep()
+	if p.armed {
+		panic("sim: process " + p.name + " armed two wakes in one continuation step")
+	}
+	p.armed, p.step, p.stepWhy = true, next, why
+}
+
+// mustStep panics unless p's continuation step is the code running now.
+//
+//ksr:hotpath
+func (p *Process) mustStep() {
+	if p.eng.stepping != p {
+		panic("sim: continuation call for process " + p.name + " outside its Run step")
+	}
+}
+
+// SleepThen is the continuation form of Sleep: it arms p's wake at
+// Now()+d with next as the step to run then (nil ends the chain there).
+// It must be the last thing the calling step does.
+//
+//ksr:hotpath
+func (p *Process) SleepThen(d Time, next func()) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: SleepThen with negative duration %d", d))
+	}
+	p.arm("sleep", next)
+	p.eng.scheduleResume(d, p)
+}
+
+// armBlocked arms a wake with no pending event, as block does for the
+// blocking forms: a Resource grant or Cond broadcast must fire it.
+//
+//ksr:hotpath
+func (p *Process) armBlocked(why string, next func()) {
+	p.arm(why, next)
+	p.blocked = true
+	p.blockSince = p.eng.now
+}
+
+// finishGrant is the step of a contended AcquireThen: it settles the
+// resource's wait accounting, as Acquire does after its park, and hands
+// the wait to the caller's continuation.
+//
+//ksr:hotpath
+func (p *Process) finishGrant() {
+	r, next := p.grantRes, p.granted
+	p.grantRes, p.granted = nil, nil
+	w := p.eng.now - p.grantStart
+	r.waitTotal += w
+	if next != nil {
+		next(w)
+	}
 }
 
 // BlockedProc describes one wedged process in a DeadlockError: which
@@ -568,6 +725,7 @@ func (e *Engine) Run() error {
 	}
 	e.runErr = nil
 	if next := e.dispatch(nil); next != nil {
+		e.handoffs++
 		next.wake <- struct{}{}
 		<-e.mainWake
 	}
@@ -593,6 +751,7 @@ func (e *Engine) RunWindow(limit Time) error {
 	e.pauseAt = limit
 	e.runErr = nil
 	if next := e.dispatch(nil); next != nil {
+		e.handoffs++
 		next.wake <- struct{}{}
 		<-e.mainWake
 	}
