@@ -164,6 +164,10 @@ type Cache struct {
 	wordSlab  []uint64 // carve source for new presence bitmaps
 	slabBytes int64    // total bytes committed to slabs, for Footprint
 
+	// evicted backs the eviction record Touch returns, reused from one
+	// eviction to the next so the access path allocates nothing.
+	evicted Evicted
+
 	// Fast path: the most recently touched frame.
 	lastUnit  uint64
 	lastFrame *frame
@@ -189,27 +193,34 @@ func New(cfg Config, rng *sim.RNG) *Cache {
 // row returns set si's frames, carving them from the slabs on first use.
 func (c *Cache) row(si int64) []frame {
 	if c.sets[si] == nil {
-		assoc := c.cfg.Assoc
-		if len(c.frameSlab) < assoc {
-			n := assoc * rowsPerSlab
-			c.frameSlab = make([]frame, n)
-			c.slabBytes += int64(n) * int64(unsafe.Sizeof(frame{}))
-		}
-		words := assoc * c.presentWords
-		if len(c.wordSlab) < words {
-			n := words * rowsPerSlab
-			c.wordSlab = make([]uint64, n)
-			c.slabBytes += int64(n) * 8
-		}
-		row := c.frameSlab[:assoc:assoc]
-		c.frameSlab = c.frameSlab[assoc:]
-		for j := range row {
-			row[j].present = c.wordSlab[j*c.presentWords : (j+1)*c.presentWords : (j+1)*c.presentWords]
-		}
-		c.wordSlab = c.wordSlab[words:]
-		c.sets[si] = row
+		c.newRow(si)
 	}
 	return c.sets[si]
+}
+
+// newRow carves set si's frames from the slabs on its first allocation.
+//
+//ksr:coldpath once per set
+func (c *Cache) newRow(si int64) {
+	assoc := c.cfg.Assoc
+	if len(c.frameSlab) < assoc {
+		n := assoc * rowsPerSlab
+		c.frameSlab = make([]frame, n)
+		c.slabBytes += int64(n) * int64(unsafe.Sizeof(frame{}))
+	}
+	words := assoc * c.presentWords
+	if len(c.wordSlab) < words {
+		n := words * rowsPerSlab
+		c.wordSlab = make([]uint64, n)
+		c.slabBytes += int64(n) * 8
+	}
+	row := c.frameSlab[:assoc:assoc]
+	c.frameSlab = c.frameSlab[assoc:]
+	for j := range row {
+		row[j].present = c.wordSlab[j*c.presentWords : (j+1)*c.presentWords : (j+1)*c.presentWords]
+	}
+	c.wordSlab = c.wordSlab[words:]
+	c.sets[si] = row
 }
 
 // Footprint returns the heap bytes currently committed to frame state:
@@ -278,7 +289,8 @@ func (c *Cache) Lookup(a memory.Addr) bool {
 
 // Touch performs an access to a: on a miss the transfer unit is filled,
 // allocating (and possibly evicting) an allocation unit as needed. The
-// second result is non-nil only when an eviction occurred.
+// second result is non-nil only when an eviction occurred; it is valid
+// until the cache's next Touch.
 func (c *Cache) Touch(a memory.Addr) (Outcome, *Evicted) {
 	c.stats.Accesses++
 	unit := c.unitOf(a)
@@ -292,7 +304,7 @@ func (c *Cache) Touch(a memory.Addr) (Outcome, *Evicted) {
 		f.nset++
 		c.stats.TransferMisses++
 		if c.rec != nil {
-			c.rec.Instant(obs.CatCache, c.tid, c.cfg.Name+".miss", obs.Arg{Key: "addr", Val: int64(a)})
+			c.traceMiss(a)
 		}
 		return TransferMiss, nil
 	}
@@ -321,7 +333,9 @@ func (c *Cache) Touch(a memory.Addr) (Outcome, *Evicted) {
 		}
 		f := &set[victim]
 		c.stats.Evictions++
-		ev = &Evicted{Unit: f.tag}
+		ev = &c.evicted
+		ev.Unit = f.tag
+		ev.Present = ev.Present[:0]
 		base := f.tag * uint64(c.cfg.unitsPerAlloc())
 		for wi, w := range f.present {
 			for ; w != 0; w &= w - 1 {
@@ -341,13 +355,28 @@ func (c *Cache) Touch(a memory.Addr) (Outcome, *Evicted) {
 	c.lastUnit = unit
 	c.lastFrame = f
 	if c.rec != nil {
-		c.rec.Instant(obs.CatCache, c.tid, c.cfg.Name+".alloc", obs.Arg{Key: "addr", Val: int64(a)})
-		if ev != nil {
-			c.rec.Instant(obs.CatCache, c.tid, c.cfg.Name+".evict",
-				obs.Arg{Key: "unit", Val: int64(ev.Unit)}, obs.Arg{Key: "present", Val: int64(len(ev.Present))})
-		}
+		c.traceAlloc(a, ev)
 	}
 	return AllocMiss, ev
+}
+
+// traceMiss records a transfer miss on a.
+//
+//ksr:coldpath tracing only: reached when the cache category is armed
+func (c *Cache) traceMiss(a memory.Addr) {
+	c.rec.Instant(obs.CatCache, c.tid, c.cfg.Name+".miss", obs.Arg{Key: "addr", Val: int64(a)})
+}
+
+// traceAlloc records an allocation miss on a and the eviction it caused,
+// if any.
+//
+//ksr:coldpath tracing only: reached when the cache category is armed
+func (c *Cache) traceAlloc(a memory.Addr, ev *Evicted) {
+	c.rec.Instant(obs.CatCache, c.tid, c.cfg.Name+".alloc", obs.Arg{Key: "addr", Val: int64(a)})
+	if ev != nil {
+		c.rec.Instant(obs.CatCache, c.tid, c.cfg.Name+".evict",
+			obs.Arg{Key: "unit", Val: int64(ev.Unit)}, obs.Arg{Key: "present", Val: int64(len(ev.Present))})
+	}
 }
 
 // PurgeTransferUnit removes presence of the transfer unit containing a,

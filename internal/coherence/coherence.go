@@ -324,10 +324,10 @@ func (d *Directory) Entries() int { return len(d.entries) }
 
 // dirTx is one process's synchronous protocol transaction, run as a
 // chain of continuation steps (see sim.Process.Run): a fabric round trip
-// with NACK retries, on its own or inside a get_sub_page attempt, or a
-// wait for a sub-page's version to change. A process runs at most one at
-// a time, so each keeps one record, with the step method values bound
-// once.
+// with NACK retries, on its own or inside a get_sub_page attempt or a
+// fill, or a wait for a sub-page's version to change. A process runs at
+// most one at a time, so each keeps one record, with the step method
+// values bound once.
 type dirTx struct {
 	d *Directory
 	p *sim.Process
@@ -340,12 +340,13 @@ type dirTx struct {
 	lat      sim.Time // latency of the last completed transaction
 	accessed func()   // continuation once it lands, nil ends the chain
 
-	// The sub-page of the current get_sub_page attempt or version wait.
-	sp memory.SubPageID
-	en *entry
+	// The requesting cell and sub-page of the current fill, get_sub_page
+	// attempt or version wait.
+	cell int
+	sp   memory.SubPageID
+	en   *entry
 
 	// A get_sub_page attempt (GetSubPageThen).
-	cell    int
 	ok      bool // outcome of the last attempt
 	gspDone func(ok bool, lat sim.Time)
 
@@ -353,10 +354,22 @@ type dirTx struct {
 	since   uint64
 	changed func()
 
-	landedFn    func()
-	retryFn     func()
-	gspLandedFn func()
-	recheckFn   func()
+	// A fill (EnsureReadableThen, EnsureWritableThen).
+	fillStart sim.Time // origin of the latency the fill reports
+	fillLat   sim.Time // latency of the last completed fill
+	remote    bool     // the last fill went on the fabric
+	filled    func(lat sim.Time, remote bool)
+
+	landedFn       func()
+	retryFn        func()
+	gspLandedFn    func()
+	recheckFn      func()
+	prefetchWaitFn func()
+	writeWaitedFn  func()
+	snarfWaitFn    func()
+	readLandedFn   func()
+	writeCheckFn   func()
+	writeLandedFn  func()
 }
 
 // tx returns p's transaction record.
@@ -377,6 +390,8 @@ func (d *Directory) newTx(p *sim.Process) *dirTx {
 	}
 	t := &dirTx{d: d, p: p}
 	t.landedFn, t.retryFn, t.gspLandedFn, t.recheckFn = t.landed, t.retry, t.gspLanded, t.recheck
+	t.prefetchWaitFn, t.writeWaitedFn, t.snarfWaitFn = t.prefetchWait, t.writeWaited, t.snarfWait
+	t.readLandedFn, t.writeCheckFn, t.writeLandedFn = t.readLanded, t.writeCheck, t.writeLanded
 	d.txs[p.ID()] = t
 	return t
 }
@@ -755,51 +770,127 @@ func (d *Directory) snarf(en *entry) {
 
 // EnsureReadable makes cell a valid holder of sp, charging p for the ring
 // transaction when one is needed. It returns the latency incurred and
-// whether the access went remote.
+// whether the access went remote: EnsureReadableThen run to completion.
 func (d *Directory) EnsureReadable(p *sim.Process, cell int, sp memory.SubPageID) (sim.Time, bool) {
+	t := d.tx(p)
+	p.Run(func() { d.EnsureReadableThen(p, cell, sp, nil) })
+	return t.fillLat, t.remote
+}
+
+// EnsureReadableThen is the continuation form of EnsureReadable, for use
+// inside p's Run step: done (nil ends the chain) receives the latency
+// and whether the access went remote once cell holds a valid copy — at
+// once if it already does.
+//
+// A cell with its own prefetch of sp in flight joins it rather than
+// issuing a duplicate fetch. Otherwise it joins an in-flight read by
+// another cell: the response circulating the ring fills this cell's copy
+// in passing (read-snarfing). This is what makes a herd of spinners
+// refetching a wakeup flag cost one transaction instead of P. If the
+// joined fetch completes but the copy is immediately invalidated by a
+// racing writer, the cell issues its own fetch. A read also queues
+// behind an in-flight write: the request cannot be answered while
+// ownership is in transit.
+//
+//ksr:hotpath
+func (d *Directory) EnsureReadableThen(p *sim.Process, cell int, sp memory.SubPageID, done func(lat sim.Time, remote bool)) {
+	t := d.tx(p)
 	en := d.get(sp)
+	t.cell, t.sp, t.en, t.filled = cell, sp, en, done
 	if en.holders.has(cell) {
-		return 0, false
+		t.fillDone(0, false)
+		return
 	}
-	// Join an in-flight prefetch rather than issuing a duplicate fetch.
+	t.fillStart = d.eng.Now()
 	if en.prefetching.has(cell) {
-		start := d.eng.Now()
-		for en.prefetching.has(cell) && !en.holders.has(cell) {
-			d.condOf(en, sp).Wait(p)
-		}
-		if en.holders.has(cell) {
-			return d.eng.Now() - start, true
-		}
+		t.prefetchWait()
+		return
 	}
-	// Join an in-flight read by another cell: the response circulating the
-	// ring fills this cell's copy in passing (read-snarfing). This is what
-	// makes a herd of spinners refetching a wakeup flag cost one
-	// transaction instead of P. If the joined fetch completes but our copy
-	// is immediately invalidated by a racing writer, fall through and
-	// issue our own fetch. A read also queues behind an in-flight write:
-	// the request cannot be answered while ownership is in transit.
-	joinStart := d.eng.Now()
-	for (en.readsInFlight > 0 && !d.DisableSnarfing) || en.writeInFlight {
-		if en.writeInFlight {
-			d.condOf(en, sp).Wait(p)
-			if en.holders.has(cell) {
-				return d.eng.Now() - joinStart, true
-			}
-			continue
-		}
-		en.snarfJoin.set(cell)
-		for en.readsInFlight > 0 && !en.holders.has(cell) {
-			d.condOf(en, sp).Wait(p)
-		}
-		en.snarfJoin.clear(cell)
-		if en.holders.has(cell) {
-			return d.eng.Now() - joinStart, true
-		}
+	t.readJoin()
+}
+
+// prefetchWait waits for the cell's own in-flight prefetch to land. If
+// the copy is gone again by then, the read starts over from the joins.
+//
+//ksr:hotpath
+func (t *dirTx) prefetchWait() {
+	d, en, cell := t.d, t.en, t.cell
+	if en.prefetching.has(cell) && !en.holders.has(cell) {
+		d.condOf(en, t.sp).WaitThen(t.p, t.prefetchWaitFn)
+		return
 	}
+	if en.holders.has(cell) {
+		t.fillDone(d.eng.Now()-t.fillStart, true)
+		return
+	}
+	t.fillStart = d.eng.Now()
+	t.readJoin()
+}
+
+// readJoin waits behind an in-flight write, joins an in-flight read, or,
+// with neither circulating, issues the read fetch.
+//
+//ksr:hotpath
+func (t *dirTx) readJoin() {
+	d, en := t.d, t.en
+	switch {
+	case en.writeInFlight:
+		d.condOf(en, t.sp).WaitThen(t.p, t.writeWaitedFn)
+	case en.readsInFlight > 0 && !d.DisableSnarfing:
+		en.snarfJoin.set(t.cell)
+		t.snarfWait()
+	default:
+		t.fetchRead()
+	}
+}
+
+// writeWaited ends a read's wait behind an in-flight write: the write's
+// landing may have left the cell a copy.
+//
+//ksr:hotpath
+func (t *dirTx) writeWaited() {
+	if t.en.holders.has(t.cell) {
+		t.fillDone(t.d.eng.Now()-t.fillStart, true)
+		return
+	}
+	t.readJoin()
+}
+
+// snarfWait waits until the joined reads have landed or one of them
+// filled the cell's copy in passing.
+//
+//ksr:hotpath
+func (t *dirTx) snarfWait() {
+	en, cell := t.en, t.cell
+	if en.readsInFlight > 0 && !en.holders.has(cell) {
+		t.d.condOf(en, t.sp).WaitThen(t.p, t.snarfWaitFn)
+		return
+	}
+	en.snarfJoin.clear(cell)
+	if en.holders.has(cell) {
+		t.fillDone(t.d.eng.Now()-t.fillStart, true)
+		return
+	}
+	t.readJoin()
+}
+
+// fetchRead issues the cell's own read transaction.
+//
+//ksr:hotpath
+func (t *dirTx) fetchRead() {
+	d, en := t.d, t.en
 	d.stats.ReadFetches++
 	en.readsInFlight++
-	dst := d.responder(en, cell)
-	lat := d.access(p, cell, dst, sp.Base())
+	d.accessThen(t, t.cell, d.responder(en, t.cell), t.sp.Base(), t.readLandedFn)
+}
+
+// readLanded fills the cell's copy once its read response arrives, and
+// every joiner and place-holder the response passes.
+//
+//ksr:hotpath
+func (t *dirTx) readLanded() {
+	d, en, cell := t.d, t.en, t.cell
+	lat := t.lat
 	en.readsInFlight--
 	// Ownership dissolves on a read: exclusive/atomic data becomes shared
 	// (the atomic lock itself, if held, stays with the owner).
@@ -836,68 +927,122 @@ func (d *Directory) EnsureReadable(p *sim.Process, cell int, sp memory.SubPageID
 		en.cond.Broadcast()
 	}
 	if d.Obs != nil {
-		d.Obs.CompleteAt(obs.CatCoh, cell, "fill.read", d.eng.Now()-lat, d.eng.Now(),
-			obs.Arg{Key: "sp", Val: int64(sp)}, obs.Arg{Key: "state", Val: int64(d.StateOf(sp))})
+		d.traceReadFill(cell, t.sp, lat)
 	}
-	d.checkpoint(sp, en)
-	return lat, true
+	d.checkpoint(t.sp, en)
+	t.fillDone(lat, true)
+}
+
+// traceReadFill records a read fill of latency lat.
+//
+//ksr:coldpath tracing only: reached when the coh category is armed
+func (d *Directory) traceReadFill(cell int, sp memory.SubPageID, lat sim.Time) {
+	d.Obs.CompleteAt(obs.CatCoh, cell, "fill.read", d.eng.Now()-lat, d.eng.Now(),
+		obs.Arg{Key: "sp", Val: int64(sp)}, obs.Arg{Key: "state", Val: int64(d.StateOf(sp))})
+}
+
+// fillDone ends a fill, handing its latency and whether it went remote
+// to the continuation.
+//
+//ksr:hotpath
+func (t *dirTx) fillDone(lat sim.Time, remote bool) {
+	t.fillLat, t.remote = lat, remote
+	done := t.filled
+	t.filled = nil
+	if done != nil {
+		done(lat, remote)
+	}
 }
 
 // EnsureWritable gives cell the sole writable copy of sp, charging p for
 // the transaction when needed. Writes by a non-owner wait while the
 // sub-page is atomic elsewhere. It returns latency and whether the access
-// went remote.
+// went remote: EnsureWritableThen run to completion.
 func (d *Directory) EnsureWritable(p *sim.Process, cell int, sp memory.SubPageID) (sim.Time, bool) {
-	en := d.get(sp)
-	start := d.eng.Now()
-	remote := false
-	for {
-		for (en.atomic && en.owner != cell) || en.readsInFlight > 0 || en.writeInFlight {
-			// A write request queues behind any transaction already
-			// circulating for this sub-page: a read response it would
-			// race, or another write that ownership must land at first.
-			// This serialization is what makes the MCS barrier's packed
-			// child word (4 writers alternating with the parent's spin
-			// refetches) cost up to 8 sequential ring transits per node —
-			// the paper's false-sharing analysis.
-			d.condOf(en, sp).Wait(p)
-		}
-		if en.owner == cell && en.holders.has(cell) && en.holders.count() == 1 {
-			d.checkpoint(sp, en)
-			return d.eng.Now() - start, remote
-		}
-		d.stats.WriteFetches++
-		remote = true
-		dst := d.responder(en, cell)
-		// If any copy to invalidate lives on another leaf ring, the
-		// transaction must traverse the level-1 ring to reach it.
-		if x := d.crossDomainTarget(cell, en.holders); x >= 0 {
-			dst = x
-		}
-		en.writeInFlight = true
-		d.access(p, cell, dst, sp.Base())
-		en.writeInFlight = false
-		// Another cell's get_sub_page may have won the ring race while our
-		// packet was in flight; if so, stall and retry.
-		if en.atomic && en.owner != cell {
-			if en.cond != nil {
-				en.cond.Broadcast()
-			}
-			continue
-		}
-		d.invalidateOthers(en, sp, cell)
-		en.holders.set(cell)
-		en.placeholders.clear(cell)
-		en.owner = cell
-		if d.Obs != nil {
-			d.Obs.CompleteAt(obs.CatCoh, cell, "fill.write", start, d.eng.Now(),
-				obs.Arg{Key: "sp", Val: int64(sp)})
-		}
-		d.checkpoint(sp, en)
-		// Latency includes any time stalled on an atomic hold plus the
-		// fabric transaction itself.
-		return d.eng.Now() - start, true
+	t := d.tx(p)
+	p.Run(func() { d.EnsureWritableThen(p, cell, sp, nil) })
+	return t.fillLat, t.remote
+}
+
+// EnsureWritableThen is the continuation form of EnsureWritable, for use
+// inside p's Run step: done (nil ends the chain) receives the latency,
+// any time stalled on an atomic hold included, and whether the access
+// went remote once cell holds the sole writable copy.
+//
+//ksr:hotpath
+func (d *Directory) EnsureWritableThen(p *sim.Process, cell int, sp memory.SubPageID, done func(lat sim.Time, remote bool)) {
+	t := d.tx(p)
+	t.cell, t.sp, t.en, t.filled = cell, sp, d.get(sp), done
+	t.fillStart = d.eng.Now()
+	t.remote = false
+	t.writeCheck()
+}
+
+// writeCheck queues a write behind any transaction already circulating
+// for the sub-page — a read response it would race, or another write
+// that ownership must land at first — and behind another cell's atomic
+// hold, then issues the write transaction unless the cell already holds
+// the sole writable copy. This serialization is what makes the MCS
+// barrier's packed child word (4 writers alternating with the parent's
+// spin refetches) cost up to 8 sequential ring transits per node — the
+// paper's false-sharing analysis.
+//
+//ksr:hotpath
+func (t *dirTx) writeCheck() {
+	d, en, cell := t.d, t.en, t.cell
+	if (en.atomic && en.owner != cell) || en.readsInFlight > 0 || en.writeInFlight {
+		d.condOf(en, t.sp).WaitThen(t.p, t.writeCheckFn)
+		return
 	}
+	if en.owner == cell && en.holders.has(cell) && en.holders.count() == 1 {
+		d.checkpoint(t.sp, en)
+		t.fillDone(d.eng.Now()-t.fillStart, t.remote)
+		return
+	}
+	d.stats.WriteFetches++
+	t.remote = true
+	dst := d.responder(en, cell)
+	// If any copy to invalidate lives on another leaf ring, the
+	// transaction must traverse the level-1 ring to reach it.
+	if x := d.crossDomainTarget(cell, en.holders); x >= 0 {
+		dst = x
+	}
+	en.writeInFlight = true
+	d.accessThen(t, cell, dst, t.sp.Base(), t.writeLandedFn)
+}
+
+// writeLanded takes ownership once the write transaction lands, unless
+// another cell's get_sub_page won the ring race while the packet was in
+// flight: then the write stalls and retries.
+//
+//ksr:hotpath
+func (t *dirTx) writeLanded() {
+	d, en, cell := t.d, t.en, t.cell
+	en.writeInFlight = false
+	if en.atomic && en.owner != cell {
+		if en.cond != nil {
+			en.cond.Broadcast()
+		}
+		t.writeCheck()
+		return
+	}
+	d.invalidateOthers(en, t.sp, cell)
+	en.holders.set(cell)
+	en.placeholders.clear(cell)
+	en.owner = cell
+	if d.Obs != nil {
+		d.traceWriteFill(cell, t.sp, t.fillStart)
+	}
+	d.checkpoint(t.sp, en)
+	t.fillDone(d.eng.Now()-t.fillStart, true)
+}
+
+// traceWriteFill records a write fill that began at start.
+//
+//ksr:coldpath tracing only: reached when the coh category is armed
+func (d *Directory) traceWriteFill(cell int, sp memory.SubPageID, start sim.Time) {
+	d.Obs.CompleteAt(obs.CatCoh, cell, "fill.write", start, d.eng.Now(),
+		obs.Arg{Key: "sp", Val: int64(sp)})
 }
 
 // GetSubPage attempts the get_sub_page instruction: acquire sp in atomic
@@ -1099,7 +1244,14 @@ func (d *Directory) Drop(cell int, sp memory.SubPageID) {
 		en.owner = -1
 	}
 	if d.Obs != nil {
-		d.Obs.Instant(obs.CatCoh, cell, "drop", obs.Arg{Key: "sp", Val: int64(sp)})
+		d.traceDrop(cell, sp)
 	}
 	d.checkpoint(sp, en)
+}
+
+// traceDrop records a capacity eviction.
+//
+//ksr:coldpath tracing only: reached when the coh category is armed
+func (d *Directory) traceDrop(cell int, sp memory.SubPageID) {
+	d.Obs.Instant(obs.CatCoh, cell, "drop", obs.Arg{Key: "sp", Val: int64(sp)})
 }

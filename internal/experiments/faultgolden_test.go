@@ -18,12 +18,14 @@ import (
 // faultCase is one small contended, fault-injected run for the fault-path
 // golden: a machine config, how many processors run, and the one cell
 // that fail-stops — on coherent machines while its processor is inside a
-// lock acquisition.
+// lock acquisition, or, for a range case, inside a ReadRange/WriteRange
+// sweep.
 type faultCase struct {
 	label    string
 	cfg      machine.Config
 	procs    int
 	failCell int
+	ranges   bool
 }
 
 // faultCases covers the transaction paths the golden trace of
@@ -54,10 +56,24 @@ func faultCases() []faultCase {
 	bfly.Faults = faults.Config{
 		FailStop: map[int]sim.Time{2: 10 * sim.Microsecond},
 	}
+	// The range cases run on the same faulted two-level ring with cell
+	// stalls and timer interrupts inflating every cycle charge, and move
+	// the fail-stop into the middle of a sweep.
+	sweep := ring
+	sweep.TimerInterrupts = true
+	sweep.InterruptEvery = 30 * sim.Microsecond
+	sweep.InterruptCost = 2 * sim.Microsecond
+	sweep.Faults.CellStallMean = 40 * sim.Microsecond
+	sweep.Faults.CellStallTime = 3 * sim.Microsecond
+	sweep.Faults.FailStop = map[int]sim.Time{4: 60 * sim.Microsecond}
+	noSnarf := sweep
+	noSnarf.DisableSnarfing = true
 	return []faultCase{
 		{label: "faults/ring", cfg: ring, procs: 6, failCell: 5},
 		{label: "faults/bus", cfg: bus, procs: 6, failCell: 4},
 		{label: "faults/butterfly", cfg: bfly, procs: 6, failCell: 2},
+		{label: "faults/ring-range", cfg: sweep, procs: 6, failCell: 4, ranges: true},
+		{label: "faults/ring-range-nosnarf", cfg: noSnarf, procs: 6, failCell: 4, ranges: true},
 	}
 }
 
@@ -70,6 +86,10 @@ func runFaultCase(t *testing.T, fc faultCase, rec *obs.Recorder) string {
 	cfg := fc.cfg
 	cfg.Obs = rec
 	m := machine.New(cfg)
+	if fc.ranges {
+		runRangeProgram(t, fc, m)
+		return faultCounters(fc, m)
+	}
 	ctr := m.AllocWords("ctr", 1).At(0)
 	data := m.Alloc("data", 4*memory.SubPageSize)
 	lock := ksync.NewHWLock(m)
@@ -108,6 +128,83 @@ func runFaultCase(t *testing.T, fc faultCase, rec *obs.Recorder) string {
 	if cfg.Coherent && failedInAcquire != fc.failCell {
 		t.Fatalf("%s: cell %d's fail-stop did not land inside its lock acquisition", fc.label, fc.failCell)
 	}
+	return faultCounters(fc, m)
+}
+
+// runRangeProgram runs the range cases' sweeps over eight shared
+// sub-pages. Cells 3-5 sweep all of them with reads (a herd whose fills
+// meet snarf joins), then write a few (write-serialization waits).
+// Cell 2 writes the first four, then publishes its iteration in a flag
+// sub-page with WriteWord and pushes it out with Poststore; cell 1 waits
+// for it in SpinUntilWords before its own sweep. Cell 0 prefetches a
+// sub-page and reads it straight away, joining the in-flight prefetch.
+// The failing cell's fail-stop comes due between two fills of a sweep.
+func runRangeProgram(t *testing.T, fc faultCase, m *machine.Machine) {
+	t.Helper()
+	shared := m.Alloc("shared", 8*memory.SubPageSize)
+	flag := m.AllocPadded("flag", 1).PaddedSlot(0)
+	const stride = memory.SubPageSize / 2
+	inRange := make([]bool, fc.procs)
+	failedInRange := -1
+	_, err := m.Run(fc.procs, func(p *machine.Proc) {
+		id := p.CellID()
+		defer func() {
+			// Runs while a fail-stop unwinds the cell, before Run's recover.
+			if inRange[id] {
+				failedInRange = id
+			}
+		}()
+		sweep := func(write bool, firstSubPage, count int64) {
+			inRange[id] = true
+			if write {
+				p.WriteRange(shared.At(firstSubPage*memory.SubPageSize), count, stride)
+			} else {
+				p.ReadRange(shared.At(firstSubPage*memory.SubPageSize), count, stride)
+			}
+			inRange[id] = false
+		}
+		for i := uint64(1); i <= 2; i++ {
+			switch id {
+			case 0:
+				p.Prefetch(shared.At(6 * memory.SubPageSize))
+				sweep(false, 6, 4)
+			case 1:
+				p.SpinUntilWords(flag, 4, func(v []uint64) bool {
+					for _, w := range v {
+						if w < i {
+							return false
+						}
+					}
+					return true
+				})
+				sweep(false, 0, 16)
+			case 2:
+				sweep(true, 0, 8)
+				for w := int64(0); w < 4; w++ {
+					p.WriteWord(flag+memory.Addr(w*memory.WordSize), i)
+				}
+				p.Poststore(flag)
+			default:
+				sweep(false, 0, 16)
+				sweep(true, int64(id%2), 4)
+			}
+			p.Compute(50)
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", fc.label, err)
+	}
+	if failed := m.FailedCells(); len(failed) != 1 || failed[0] != fc.failCell {
+		t.Fatalf("%s: failed cells %v, want [%d]", fc.label, failed, fc.failCell)
+	}
+	if failedInRange != fc.failCell {
+		t.Fatalf("%s: cell %d's fail-stop did not land inside a sweep", fc.label, fc.failCell)
+	}
+}
+
+// faultCounters renders a finished case's final counters, engine event
+// count and simulated end time as text.
+func faultCounters(fc faultCase, m *machine.Machine) string {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s sim.now_ns %d\n", fc.label, m.Now().Ns())
 	fmt.Fprintf(&b, "%s sim.events %d\n", fc.label, m.Engine().EventsExecuted())

@@ -4,43 +4,183 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/memory"
 	"repro/internal/sim"
 )
 
-// A fail-stop that comes due while a cell waits inside AcquireSubPage
-// halts that cell in its own goroutine. The retry that notices it runs
-// as a continuation step in the releasing cell's goroutine, so it must
-// end the chain rather than panic there: the releasing cell finishes its
-// program, and only the waiting cell fails.
+// A fail-stop that comes due inside a chain — while a cell waits inside
+// AcquireSubPage, or between two fills of one ReadRange — halts that
+// cell in its own goroutine. The step that notices it runs in another
+// cell's goroutine, so it must end the chain rather than panic there:
+// the other cell finishes its program, and only the failing cell halts.
 func TestFailStopInsideChainHaltsOwnCell(t *testing.T) {
-	cfg := KSR1(2)
-	cfg.Faults = faults.Config{FailStop: map[int]sim.Time{1: 50 * sim.Microsecond}}
-	m := New(cfg)
-	lock := m.AllocPadded("lock", 1).PaddedSlot(0)
-	finished := make([]bool, 2)
-	_, err := m.Run(2, func(p *Proc) {
-		if p.CellID() == 0 {
-			p.AcquireSubPage(lock)
-			p.Compute(4000) // 200 us: cell 1's fail-stop comes due meanwhile
-			p.ReleaseSubPage(lock)
-			p.Compute(100) // cell 1's retry step runs in this park
-		} else {
-			p.Compute(20) // let cell 0 win the sub-page
-			p.AcquireSubPage(lock)
+	t.Run("AcquireSubPage", func(t *testing.T) {
+		cfg := KSR1(2)
+		cfg.Faults = faults.Config{FailStop: map[int]sim.Time{1: 50 * sim.Microsecond}}
+		m := New(cfg)
+		lock := m.AllocPadded("lock", 1).PaddedSlot(0)
+		finished := make([]bool, 2)
+		_, err := m.Run(2, func(p *Proc) {
+			if p.CellID() == 0 {
+				p.AcquireSubPage(lock)
+				p.Compute(4000) // 200 us: cell 1's fail-stop comes due meanwhile
+				p.ReleaseSubPage(lock)
+				p.Compute(100) // cell 1's retry step runs in this park
+			} else {
+				p.Compute(20) // let cell 0 win the sub-page
+				p.AcquireSubPage(lock)
+			}
+			finished[p.CellID()] = true
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		finished[p.CellID()] = true
+		if !finished[0] || finished[1] {
+			t.Errorf("finished = %v, want cell 0 only", finished)
+		}
+		if got := m.FailedCells(); len(got) != 1 || got[0] != 1 {
+			t.Errorf("FailedCells = %v, want [1]", got)
+		}
+		if r := m.CellAt(1).Monitor().GSPRetries; r == 0 {
+			t.Error("cell 1 never failed a get_sub_page, so it never waited inside AcquireSubPage")
+		}
+	})
+	t.Run("ReadRange", func(t *testing.T) {
+		// Cell 1 reads two sub-pages cell 0 owns from 50 us on. Its
+		// first fill lands about 9 us later, after the fail-stop at
+		// 55 us, so the second word's access finds it due.
+		cfg := KSR1(2)
+		cfg.Faults = faults.Config{FailStop: map[int]sim.Time{1: 55 * sim.Microsecond}}
+		m := New(cfg)
+		data := m.Alloc("data", 2*memory.SubPageSize)
+		finished := make([]bool, 2)
+		_, err := m.Run(2, func(p *Proc) {
+			if p.CellID() == 0 {
+				p.WriteRange(data.At(0), 2, memory.SubPageSize)
+				// Short computes keep cell 0 parking after cell 1, so
+				// cell 1's fill steps run in cell 0's goroutine.
+				for i := 0; i < 400; i++ {
+					p.Compute(10)
+				}
+			} else {
+				p.Compute(1000) // 50 us: cell 0 owns both sub-pages by then
+				p.ReadRange(data.At(0), 2, memory.SubPageSize)
+			}
+			finished[p.CellID()] = true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !finished[0] || finished[1] {
+			t.Errorf("finished = %v, want cell 0 only", finished)
+		}
+		if got := m.FailedCells(); len(got) != 1 || got[0] != 1 {
+			t.Errorf("FailedCells = %v, want [1]", got)
+		}
+		// The first word was accessed and filled; the second word's
+		// access never began.
+		if mon := m.CellAt(1).Monitor(); mon.Accesses != 1 || mon.RemoteAccesses != 1 {
+			t.Errorf("cell 1: %d accesses, %d remote, want 1 and 1 (halted between the two fills)",
+				mon.Accesses, mon.RemoteAccesses)
+		}
+	})
+}
+
+// Engine.Shutdown unwinds a processor parked in the middle of a fill
+// without running the fill's next step: the transaction never lands.
+func TestShutdownUnwindsParkedFill(t *testing.T) {
+	m := New(KSR1(2))
+	data := m.Alloc("data", memory.SubPageSize)
+	m.Engine().SetDeadline(2 * sim.Microsecond) // a remote read takes about 9 us
+	unwound := false
+	_, err := m.Run(1, func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Read(data.At(0))
+		t.Error("the read completed before the deadline")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !finished[0] || finished[1] {
-		t.Errorf("finished = %v, want cell 0 only", finished)
+	if ds := m.Directory().Stats(); ds.ReadFetches != 1 {
+		t.Fatalf("%d read fetches at the deadline, want 1 in flight", ds.ReadFetches)
 	}
-	if got := m.FailedCells(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("FailedCells = %v, want [1]", got)
+	m.Close()
+	if !unwound {
+		t.Error("Shutdown did not unwind the processor's program")
 	}
-	if r := m.CellAt(1).Monitor().GSPRetries; r == 0 {
-		t.Error("cell 1 never failed a get_sub_page, so it never waited inside AcquireSubPage")
+	if mon := m.CellAt(0).Monitor(); mon.RemoteAccesses != 0 {
+		t.Errorf("Shutdown ran the fill's step: %d remote accesses charged", mon.RemoteAccesses)
+	}
+	if tx := m.Fabric().Stats().Transactions; tx != 0 {
+		t.Errorf("%d fabric transactions completed, want 0", tx)
+	}
+}
+
+// A sub-cache hit, a remote read fill and a write fill that invalidates
+// another cell's copy allocate nothing once each processor has made its
+// first access. Cell 0 writes a shared word at the start of every
+// period, cell 1 reads it mid-period: each read refetches the sub-page
+// and each write invalidates the reader's copy.
+func TestAccessAllocs(t *testing.T) {
+	m := New(KSR1(2))
+	word := m.AllocWords("shared", 1).At(0)
+	own := m.AllocWords("own", 1).At(0)
+	const period = 200 * sim.Microsecond
+	const runs = 20
+	// waitUntil computes until simulated time at.
+	waitUntil := func(p *Proc, at sim.Time) {
+		if d := at - p.Now(); d > 0 {
+			p.Compute(int64(d / m.Config().CPUCycle))
+		}
+	}
+	var hit, read, write float64
+	_, err := m.Run(2, func(p *Proc) {
+		k := sim.Time(0)
+		if p.CellID() == 0 {
+			p.Read(own)
+			hit = testing.AllocsPerRun(runs, func() { p.Read(own) })
+			// Cell 1 measures its reads while these writes run (runs
+			// calls plus AllocsPerRun's warm-up), then keeps reading
+			// while the writes are measured.
+			for ; k < runs+1; k++ {
+				waitUntil(p, k*period)
+				p.Write(word)
+			}
+			write = testing.AllocsPerRun(runs, func() {
+				waitUntil(p, k*period)
+				p.Write(word)
+				k++
+			})
+			return
+		}
+		read = testing.AllocsPerRun(runs, func() {
+			waitUntil(p, k*period+period/2)
+			p.Read(word)
+			k++
+		})
+		for ; k < 2*(runs+1); k++ {
+			waitUntil(p, k*period+period/2)
+			p.Read(word)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit != 0 {
+		t.Errorf("sub-cache hit: %v allocs, want 0", hit)
+	}
+	if read != 0 {
+		t.Errorf("remote read fill: %v allocs, want 0", read)
+	}
+	if write != 0 {
+		t.Errorf("write fill that invalidates: %v allocs, want 0", write)
+	}
+	mon := m.CellAt(1).Monitor()
+	if mon.RemoteAccesses < 2*runs {
+		t.Errorf("cell 1 made %d remote accesses, want a fill per read", mon.RemoteAccesses)
+	}
+	if inv := m.Directory().Stats().Invalidations; inv < 2*runs {
+		t.Errorf("%d invalidations, want one per write", inv)
 	}
 }
 

@@ -102,6 +102,11 @@ type Machine struct {
 	inj   *faults.Injector // nil when cfg.Faults injects nothing
 	obs   *obs.Recorder    // nil when the machine is unobserved
 
+	// fabAccessThen is fab.AccessThen, bound once: the cacheless access
+	// steps call it as a plain function value, and ksrlint/hotalloc
+	// checks each fabric's AccessThen where it is declared.
+	fabAccessThen func(p *sim.Process, src, dst int, addr memory.Addr, done func())
+
 	// prof is the simulated-time profiler's charge surface, held by
 	// value so each charge point is one function-pointer load and one
 	// predictable branch; all-nil (the default) means unprofiled.
@@ -149,6 +154,7 @@ func New(cfg Config) *Machine {
 	default:
 		panic(fmt.Sprintf("machine: unknown fabric kind %d", cfg.Fabric))
 	}
+	m.fabAccessThen = m.fab.AccessThen
 	for i := 0; i < cfg.Cells; i++ {
 		c := &Cell{id: i}
 		if cfg.Coherent {

@@ -23,7 +23,47 @@ type Proc struct {
 
 	bypassSub bool
 
-	gsp gspChain // get_sub_page attempts as one continuation chain
+	// halting is set by a continuation step that found the cell's
+	// fail-stop due: the step ends its chain instead, and Run halts the
+	// cell once its goroutine resumes.
+	halting bool
+
+	acc accessChain // memory operations as one continuation chain
+	gsp gspChain    // get_sub_page attempts as one continuation chain
+}
+
+// accessChain runs a Proc's memory operation — one word or a strided
+// range of words — as a single continuation chain (see
+// sim.Process.Run). Sub-cache and local-cache hits accumulate their
+// cycle costs; a miss first charges the accumulated cycles with
+// SleepThen, then runs the coherence fill (or, on a cacheless machine,
+// the fabric transaction) as steps; the final charge arms the
+// operation's continuation. So the processor's goroutine resumes once
+// per operation, however many fills, joins and waits it took. The step
+// method values are bound once, on the Proc's first access.
+type accessChain struct {
+	p      *Proc
+	addr   memory.Addr // the word being accessed
+	left   int64       // words still to access, this one included
+	stride int64
+	write  bool
+	cycles int64    // local cycles not yet charged
+	extra  int64    // cycles added after the last word (Poststore's stall)
+	start  sim.Time // when the current cacheless transaction began
+
+	store bool // WriteWord: store val when the word's access completes
+	val   uint64
+	vals  []uint64 // capture each word's value when its access completes
+	words []uint64 // SpinUntilWords: the values of the words being read
+
+	done func() // continuation after the final charge, nil ends the chain
+
+	runFn        func()
+	fillFn       func()
+	filledFn     func(lat sim.Time, remote bool)
+	remoteFn     func()
+	remoteDoneFn func()
+	readRestFn   func()
 }
 
 // gspChain runs a Proc's get_sub_page attempts on one sub-page as a
@@ -94,6 +134,40 @@ func (p *Proc) Compute(ops int64) {
 	p.chargeCycles(ops)
 }
 
+// ComputeThen is the continuation form of Compute, for use inside a Run
+// step: it charges ops cycles of computation and runs next (nil ends the
+// chain) once they have elapsed — at once when ops is not positive.
+//
+//ksr:hotpath
+func (p *Proc) ComputeThen(ops int64, next func()) {
+	if ops <= 0 {
+		if next != nil {
+			next()
+		}
+		return
+	}
+	if p.failStopDue() {
+		p.halting = true
+		return
+	}
+	p.sp.SleepThen(p.cycleTime(ops, prof.PhaseCompute), next)
+}
+
+// Run executes step as a continuation chain on the processor's
+// simulation process (see sim.Process.Run) and returns once the chain
+// has ended. Engine-side code that runs over data — the workload
+// interpreter — uses it to string Proc operations together with
+// ComputeThen and AccessThen, so the processor's goroutine resumes only
+// when the chain ends. A step that finds the cell's fail-stop due ends
+// its chain; the cell then halts here, in its own goroutine.
+func (p *Proc) Run(step func()) {
+	p.sp.Run(step)
+	if p.halting {
+		p.halting = false
+		p.checkFailStop()
+	}
+}
+
 // cellFailStop is the panic sentinel that unwinds a cell's program when
 // fault injection halts it; Machine.Run recovers it.
 type cellFailStop struct{ cell int }
@@ -114,6 +188,8 @@ func (p *Proc) checkFailStop() {
 // failStopDue reports whether the cell's fail-stop time has arrived:
 // checkFailStop's test without halting, for continuation steps, which run
 // in other cells' goroutines and so must end their chain instead.
+//
+//ksr:hotpath
 func (p *Proc) failStopDue() bool {
 	c := p.cell
 	return c.failAt > 0 && !c.failed && p.sp.Now() >= c.failAt
@@ -125,12 +201,20 @@ func (p *Proc) chargeCycles(n int64) {
 }
 
 // chargeCyclesAs advances simulated time by n CPU cycles attributed to
-// profile phase ph, injecting a timer interrupt or a transient stall
-// when one is due (if the machine models them). Inflation from
-// interrupts and stalls stays on the phase that absorbed it, exactly as
-// a hardware counter would see it.
+// profile phase ph.
 func (p *Proc) chargeCyclesAs(n int64, ph prof.Phase) {
 	p.checkFailStop()
+	p.sp.Sleep(p.cycleTime(n, ph))
+}
+
+// cycleTime converts n CPU cycles attributed to profile phase ph into
+// simulated time, injecting a timer interrupt or a transient stall when
+// one is due (if the machine models them), and reports the charge to the
+// profiler. Inflation from interrupts and stalls stays on the phase that
+// absorbed it, exactly as a hardware counter would see it.
+//
+//ksr:hotpath
+func (p *Proc) cycleTime(n int64, ph prof.Phase) sim.Time {
 	d := sim.Time(n) * p.m.cfg.CPUCycle
 	cfg := &p.m.cfg
 	if cfg.TimerInterrupts && cfg.InterruptEvery > 0 {
@@ -150,7 +234,7 @@ func (p *Proc) chargeCyclesAs(n int64, ph prof.Phase) {
 	if fn := p.m.prof.Charge; fn != nil {
 		fn(p.cell.id, ph, d)
 	}
-	p.sp.Sleep(d)
+	return d
 }
 
 // handleEvictions reports capacity-evicted sub-pages to the directory and
@@ -166,12 +250,84 @@ func (p *Proc) handleEvictions(ev *cache.Evicted) {
 	}
 }
 
-// accessOne performs one word access, accumulating pure-local cycle costs
-// into *acc and flushing them before any fabric transaction so event
-// ordering stays faithful. Used by both the single-access methods and the
-// batched range methods.
-func (p *Proc) accessOne(addr memory.Addr, write bool, acc *int64) {
-	p.checkFailStop()
+// accessor returns the Proc's access record, binding its steps on first
+// use.
+func (p *Proc) accessor() *accessChain {
+	a := &p.acc
+	if a.p == nil {
+		a.bind(p)
+	}
+	return a
+}
+
+// bind sets up the access record's steps on the Proc's first access.
+//
+//ksr:coldpath once per processor
+func (a *accessChain) bind(p *Proc) {
+	a.p = p
+	a.runFn, a.fillFn, a.filledFn = a.run, a.fill, a.filled
+	a.remoteFn, a.remoteDoneFn = a.remote, a.remoteDone
+	a.readRestFn = a.readRest
+}
+
+// begin sets the record up for count accesses from addr, stride bytes
+// apart, ending in done.
+//
+//ksr:hotpath
+func (a *accessChain) begin(addr memory.Addr, count, stride int64, write bool, done func()) {
+	a.addr, a.left, a.stride, a.write, a.done = addr, count, stride, write, done
+	a.cycles, a.extra = 0, 0
+	a.store, a.vals = false, nil
+}
+
+// AccessThen is the continuation form of ReadRange and WriteRange (and,
+// with count 1, of Read and Write), for use inside a Run step: it makes
+// count timed accesses from base with the given byte stride and runs
+// next (nil ends the chain) once the last access's cycles have elapsed.
+//
+//ksr:hotpath
+func (p *Proc) AccessThen(base memory.Addr, count, stride int64, write bool, next func()) {
+	a := p.accessor()
+	a.begin(base, count, stride, write, next)
+	a.run()
+}
+
+// run accesses words until one needs the fabric — its step then carries
+// the chain on — or none are left, and then arms the final charge. Each
+// word and the final charge begin at an instruction boundary, where a
+// fail-stop that has come due ends the chain.
+//
+//ksr:hotpath
+func (a *accessChain) run() {
+	p := a.p
+	for a.left > 0 {
+		if p.failStopDue() {
+			p.halting = true
+			return
+		}
+		if !a.hit() {
+			return
+		}
+		a.landed()
+	}
+	a.cycles += a.extra
+	a.extra = 0
+	if a.cycles > 0 && p.failStopDue() {
+		p.halting = true
+		return
+	}
+	a.charge(a.done)
+}
+
+// hit makes the current word's access and reports whether it was served
+// locally, its cycles accumulated. Otherwise the access needs the fabric,
+// and hit has armed the step that continues the chain: the accumulated
+// cycles are charged first (they are memory time, not computation), so
+// event ordering stays faithful.
+//
+//ksr:hotpath
+func (a *accessChain) hit() bool {
+	p := a.p
 	cfg := &p.m.cfg
 	c := p.cell
 	c.mon.Accesses++
@@ -179,95 +335,164 @@ func (p *Proc) accessOne(addr memory.Addr, write bool, acc *int64) {
 	if !cfg.Coherent {
 		// Cacheless NUMA machine: home-local accesses cost memory time,
 		// everything else is a network transaction.
-		home := p.m.homeOf(addr)
-		if home == c.id {
-			*acc += cfg.LocalMemCycles
-			return
+		if p.m.homeOf(a.addr) == c.id {
+			a.cycles += cfg.LocalMemCycles
+			return true
 		}
-		p.flush(acc)
-		lat := p.m.fab.Access(p.sp, c.id, home, addr)
-		c.mon.RemoteAccesses++
-		c.mon.RingTime += lat
-		if fn := p.m.prof.Access; fn != nil {
-			fn(c.id, prof.PhaseMemory, lat)
-		}
-		return
+		a.charge(a.remoteFn)
+		return false
 	}
 
-	sp := addr.SubPage()
-	valid := p.m.dir.HasValid(c.id, sp)
-	if write {
+	sp := a.addr.SubPage()
+	var valid bool
+	if a.write {
 		valid = p.m.dir.IsWritable(c.id, sp)
+	} else {
+		valid = p.m.dir.HasValid(c.id, sp)
 	}
-	if valid {
-		if p.bypassSub {
-			// Sub-caching disabled: serve from the local cache without
-			// allocating sub-cache blocks (no pollution, no 2-cycle hits).
-			if write {
-				*acc += cfg.LocalCacheWriteCycles
-			} else {
-				*acc += cfg.LocalCacheReadCycles
-			}
-			return
+	if !valid {
+		// Remote: a coherence transaction on the fabric, then fills.
+		c.mon.SubMisses++
+		c.mon.LocalMisses++
+		a.charge(a.fillFn)
+		return false
+	}
+	if p.bypassSub {
+		// Sub-caching disabled: serve from the local cache without
+		// allocating sub-cache blocks (no pollution, no 2-cycle hits).
+		a.cycles += a.localCycles()
+		return true
+	}
+	switch out, _ := c.sub.Touch(a.addr); out {
+	case cache.Hit:
+		if a.write {
+			a.cycles += cfg.SubCacheWriteCycles
+		} else {
+			a.cycles += cfg.SubCacheReadCycles
 		}
-		out, _ := c.sub.Touch(addr)
-		switch out {
-		case cache.Hit:
-			if write {
-				*acc += cfg.SubCacheWriteCycles
-			} else {
-				*acc += cfg.SubCacheReadCycles
-			}
-		default:
-			// Fill from the local cache (present by inclusion).
-			c.mon.SubMisses++
-			c.local.Touch(addr)
-			if write {
-				*acc += cfg.LocalCacheWriteCycles
-			} else {
-				*acc += cfg.LocalCacheReadCycles
-			}
-			if out == cache.AllocMiss {
-				*acc += cfg.SubAllocExtraCycles
-				c.mon.SubAllocs++
-			}
+	default:
+		// Fill from the local cache (present by inclusion).
+		c.mon.SubMisses++
+		c.local.Touch(a.addr)
+		a.cycles += a.localCycles()
+		if out == cache.AllocMiss {
+			a.cycles += cfg.SubAllocExtraCycles
+			c.mon.SubAllocs++
+		}
+	}
+	return true
+}
+
+// localCycles is the local-cache access time of the current word.
+//
+//ksr:hotpath
+func (a *accessChain) localCycles() int64 {
+	if a.write {
+		return a.p.m.cfg.LocalCacheWriteCycles
+	}
+	return a.p.m.cfg.LocalCacheReadCycles
+}
+
+// charge charges the accumulated cycles and runs next (nil ends the
+// chain) once they have elapsed — at once when there are none.
+//
+//ksr:hotpath
+func (a *accessChain) charge(next func()) {
+	if a.cycles <= 0 {
+		if next != nil {
+			next()
 		}
 		return
 	}
+	d := a.p.cycleTime(a.cycles, prof.PhaseMemory)
+	a.cycles = 0
+	a.p.sp.SleepThen(d, next)
+}
 
-	// Remote: a coherence transaction on the fabric, then fills.
-	c.mon.SubMisses++
-	c.mon.LocalMisses++
-	p.flush(acc)
-	var lat sim.Time
-	if write {
-		lat, _ = p.m.dir.EnsureWritable(p.sp, c.id, sp)
-	} else {
-		lat, _ = p.m.dir.EnsureReadable(p.sp, c.id, sp)
+// landed completes the current word's access — a WriteWord's store, a
+// value capture — and moves on to the next word.
+//
+//ksr:hotpath
+func (a *accessChain) landed() {
+	if a.store {
+		a.p.m.space.WriteWord(a.addr, a.val)
 	}
+	if a.vals != nil {
+		a.vals[0] = a.p.m.space.ReadWord(a.addr)
+		a.vals = a.vals[1:]
+	}
+	a.addr += memory.Addr(a.stride)
+	a.left--
+}
+
+// fill runs the coherence transaction that makes the current word
+// readable or writable.
+//
+//ksr:hotpath
+func (a *accessChain) fill() {
+	p := a.p
+	if a.write {
+		p.m.dir.EnsureWritableThen(p.sp, p.cell.id, a.addr.SubPage(), a.filledFn)
+	} else {
+		p.m.dir.EnsureReadableThen(p.sp, p.cell.id, a.addr.SubPage(), a.filledFn)
+	}
+}
+
+// filled charges the fill's ring time, fills the local cache and the
+// sub-cache with the word's sub-page, and carries on with the next word.
+//
+//ksr:hotpath
+func (a *accessChain) filled(lat sim.Time, _ bool) {
+	p := a.p
+	cfg := &p.m.cfg
+	c := p.cell
 	c.mon.RemoteAccesses++
 	c.mon.RingTime += lat
 	if fn := p.m.prof.Access; fn != nil {
 		fn(c.id, prof.PhaseMemory, lat)
 	}
-	out, ev := c.local.Touch(addr)
+	out, ev := c.local.Touch(a.addr)
 	p.handleEvictions(ev)
 	if out == cache.AllocMiss {
-		*acc += cfg.PageAllocExtraCycles
+		a.cycles += cfg.PageAllocExtraCycles
 		c.mon.PageAllocs++
 	}
 	if !p.bypassSub {
-		outSub, _ := c.sub.Touch(addr)
-		if outSub == cache.AllocMiss {
-			*acc += cfg.SubAllocExtraCycles
+		if outSub, _ := c.sub.Touch(a.addr); outSub == cache.AllocMiss {
+			a.cycles += cfg.SubAllocExtraCycles
 			c.mon.SubAllocs++
 		}
 	}
-	if write {
-		*acc += cfg.LocalCacheWriteCycles
-	} else {
-		*acc += cfg.LocalCacheReadCycles
+	a.cycles += a.localCycles()
+	a.landed()
+	a.run()
+}
+
+// remote runs the current word's transaction to its home module on a
+// cacheless machine.
+//
+//ksr:hotpath
+func (a *accessChain) remote() {
+	p := a.p
+	a.start = p.sp.Now()
+	p.m.fabAccessThen(p.sp, p.cell.id, p.m.homeOf(a.addr), a.addr, a.remoteDoneFn)
+}
+
+// remoteDone charges a cacheless transaction and carries on with the
+// next word.
+//
+//ksr:hotpath
+func (a *accessChain) remoteDone() {
+	p := a.p
+	c := p.cell
+	lat := p.sp.Now() - a.start
+	c.mon.RemoteAccesses++
+	c.mon.RingTime += lat
+	if fn := p.m.prof.Access; fn != nil {
+		fn(c.id, prof.PhaseMemory, lat)
 	}
+	a.landed()
+	a.run()
 }
 
 // SetSubCacheBypass selectively turns sub-caching on or off for this
@@ -303,27 +528,14 @@ func (p *Proc) PrefetchSub(addr memory.Addr) {
 	})
 }
 
-func (p *Proc) flush(acc *int64) {
-	if *acc > 0 {
-		// Accumulated cycles are cache hits and allocation overheads:
-		// memory time, not computation.
-		p.chargeCyclesAs(*acc, prof.PhaseMemory)
-		*acc = 0
-	}
-}
-
 // Read performs a timed read of the word at addr.
 func (p *Proc) Read(addr memory.Addr) {
-	var acc int64
-	p.accessOne(addr, false, &acc)
-	p.flush(&acc)
+	p.accessRange(addr, 1, 0, false)
 }
 
 // Write performs a timed write of the word at addr.
 func (p *Proc) Write(addr memory.Addr) {
-	var acc int64
-	p.accessOne(addr, true, &acc)
-	p.flush(&acc)
+	p.accessRange(addr, 1, 0, true)
 }
 
 // ReadWord performs a timed read and returns the stored value.
@@ -338,10 +550,10 @@ func (p *Proc) ReadWord(addr memory.Addr) uint64 {
 // by the invalidation could re-read the old value during the writer's fill
 // and miss the update forever.
 func (p *Proc) WriteWord(addr memory.Addr, v uint64) {
-	var acc int64
-	p.accessOne(addr, true, &acc)
-	p.m.space.WriteWord(addr, v)
-	p.flush(&acc)
+	a := p.accessor()
+	a.begin(addr, 1, 0, true, nil)
+	a.store, a.val = true, v
+	p.Run(a.runFn)
 }
 
 // ReadRange performs count timed reads starting at base with the given
@@ -358,16 +570,9 @@ func (p *Proc) WriteRange(base memory.Addr, count, stride int64) {
 }
 
 func (p *Proc) accessRange(base memory.Addr, count, stride int64, write bool) {
-	if count <= 0 {
-		return
-	}
-	var acc int64
-	addr := base
-	for i := int64(0); i < count; i++ {
-		p.accessOne(addr, write, &acc)
-		addr += memory.Addr(stride)
-	}
-	p.flush(&acc)
+	a := p.accessor()
+	a.begin(base, count, stride, write, nil)
+	p.Run(a.runFn)
 }
 
 // GetSubPage attempts the get_sub_page instruction on the sub-page holding
@@ -603,16 +808,12 @@ func (p *Proc) SpinUntilWords(addr memory.Addr, n int, pred func([]uint64) bool)
 	}
 	vals := make([]uint64, n)
 	readAll := func() {
-		p.Read(addr) // one timed access fetches the sub-page
-		var acc int64
-		for i := 0; i < n; i++ {
-			a := addr + memory.Addr(i*memory.WordSize)
-			if i > 0 {
-				p.accessOne(a, false, &acc)
-			}
-			vals[i] = p.m.space.ReadWord(a)
-		}
-		p.flush(&acc)
+		// One chain: a timed Read fetches the sub-page, then the other
+		// words are read, each value captured when its access completes.
+		a := p.accessor()
+		a.begin(addr, 1, 0, false, a.readRestFn)
+		a.words = vals
+		p.Run(a.runFn)
 	}
 	if p.m.cfg.Coherent {
 		sp := addr.SubPage()
@@ -638,6 +839,20 @@ func (p *Proc) SpinUntilWords(addr memory.Addr, n int, pred func([]uint64) bool)
 	}
 }
 
+// readRest captures the first word of a SpinUntilWords read, whose Read
+// has completed, then reads the others, capturing each value when its
+// access completes.
+//
+//ksr:hotpath
+func (a *accessChain) readRest() {
+	words := a.words
+	a.words = nil
+	words[0] = a.p.m.space.ReadWord(a.addr)
+	a.begin(a.addr+memory.WordSize, int64(len(words)-1), memory.WordSize, false, nil)
+	a.vals = words[1:]
+	a.run()
+}
+
 // Poststore executes the poststore instruction for the sub-page holding
 // addr: the issuing processor stalls only until the update reaches its
 // local cache, then the new value circulates asynchronously, filling every
@@ -648,15 +863,16 @@ func (p *Proc) Poststore(addr memory.Addr) {
 	if !p.m.cfg.Coherent {
 		return
 	}
-	var acc int64
-	sp := addr.SubPage()
-	if !p.m.dir.IsWritable(p.cell.id, sp) {
-		p.accessOne(addr, true, &acc)
+	a := p.accessor()
+	count := int64(1)
+	if p.m.dir.IsWritable(p.cell.id, addr.SubPage()) {
+		count = 0
 	}
-	acc += p.m.cfg.LocalCacheWriteCycles // stall: write-through to local cache
-	p.flush(&acc)
+	a.begin(addr, count, 0, true, nil)
+	a.extra = p.m.cfg.LocalCacheWriteCycles // stall: write-through to local cache
+	p.Run(a.runFn)
 	p.cell.mon.Poststores++
-	p.m.dir.Poststore(p.cell.id, sp, nil)
+	p.m.dir.Poststore(p.cell.id, addr.SubPage(), nil)
 }
 
 // Prefetch issues the prefetch instruction: fetch the sub-page holding

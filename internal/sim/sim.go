@@ -19,8 +19,8 @@
 // Resource.AcquireThen, Cond.WaitThen) that arms the wake with a step:
 // engine-only code that the dispatcher runs in whichever goroutine holds
 // the token, so a chain of parks — a ring transaction, a get_sub_page
-// retry loop — costs one goroutine handoff instead of one per park (see
-// Process.Run).
+// retry loop, a coherence fill, a whole range sweep — costs one
+// goroutine handoff instead of one per park (see Process.Run).
 //
 // The engine is the substrate for the KSR-1 machine model: each simulated
 // processor (cell) is a Process, and the ring, caches, and coherence

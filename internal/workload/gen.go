@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ksync"
 	"repro/internal/machine"
@@ -35,8 +36,9 @@ const (
 	OpBarrier
 )
 
-// opArity maps each kind to its operand count (wire format).
-var opArity = map[OpKind]int{
+// opArity holds each kind's operand count (wire format), indexed by
+// kind; every byte value is an index, and unknown kinds have none.
+var opArity = [256]int{
 	OpCompute: 1, OpRead: 1, OpWrite: 1,
 	OpReadRange: 3, OpWriteRange: 3,
 	OpLockAcq: 1, OpLockRel: 1, OpBarrier: 1,
@@ -388,30 +390,40 @@ func machineConfigFor(kind string, cells int) (machine.Config, error) {
 // to completion. The same Execute serves run, record, replay, and
 // perturbed replay.
 func Execute(t *Trace, o ExecOptions) (*Report, error) {
+	rep, _, err := execute(t, o)
+	return rep, err
+}
+
+// execute is Execute, also returning the machine it ran (already closed)
+// so tests can read its engine's counters.
+func execute(t *Trace, o ExecOptions) (*Report, *machine.Machine, error) {
 	s := t.Header.Spec
 	if t.Header.Schema != TraceSchema {
-		return nil, fmt.Errorf("workload: trace schema %q, want %q", t.Header.Schema, TraceSchema)
+		return nil, nil, fmt.Errorf("workload: trace schema %q, want %q", t.Header.Schema, TraceSchema)
 	}
 	if len(t.Slots) != len(t.Header.Slots) {
-		return nil, fmt.Errorf("workload: trace has %d slot streams for %d slot defs", len(t.Slots), len(t.Header.Slots))
+		return nil, nil, fmt.Errorf("workload: trace has %d slot streams for %d slot defs", len(t.Slots), len(t.Header.Slots))
 	}
 	cfg, err := machineConfigFor(s.Machine, s.Cells)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg.Seed = s.Seed
 	cfg.Obs = o.Obs
 	cfg.Prof = o.Prof
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m := machine.New(cfg)
 	defer m.Close()
 	// Data regions first, in recorded order: bases must reproduce.
 	for _, rd := range t.Header.Regions {
+		if rd.Bytes <= 0 {
+			return nil, nil, fmt.Errorf("workload: region %q has %d bytes", rd.Name, rd.Bytes)
+		}
 		r := m.Alloc(rd.Name, rd.Bytes)
 		if uint64(r.Base) != rd.Base {
-			return nil, fmt.Errorf("workload: region %q allocated at %#x, trace recorded %#x (layout drift)", rd.Name, uint64(r.Base), rd.Base)
+			return nil, nil, fmt.Errorf("workload: region %q allocated at %#x, trace recorded %#x (layout drift)", rd.Name, uint64(r.Base), rd.Base)
 		}
 	}
 	locks := make([]ksync.Lock, len(t.Header.Locks))
@@ -424,7 +436,7 @@ func Execute(t *Trace, o ExecOptions) (*Report, error) {
 		case "mcs":
 			locks[i] = ksync.NewMCSLock(m)
 		default:
-			return nil, fmt.Errorf("workload: lock %q: unknown algorithm %q", ld.Name, ld.Algo)
+			return nil, nil, fmt.Errorf("workload: lock %q: unknown algorithm %q", ld.Name, ld.Algo)
 		}
 	}
 	barriers := make([]runBarrier, len(t.Header.Barriers))
@@ -436,7 +448,7 @@ func Execute(t *Trace, o ExecOptions) (*Report, error) {
 		}
 		f, ok := ksync.ByName(bd.Algo)
 		if !ok {
-			return nil, fmt.Errorf("workload: barrier %q: unknown algorithm %q", bd.Name, bd.Algo)
+			return nil, nil, fmt.Errorf("workload: barrier %q: unknown algorithm %q", bd.Name, bd.Algo)
 		}
 		barriers[i] = ksyncBarrier{f.New(m, bd.Procs)}
 	}
@@ -446,56 +458,157 @@ func Execute(t *Trace, o ExecOptions) (*Report, error) {
 		cells[i] = sd.Cell
 		cellSlot[sd.Cell] = i
 	}
-	// Validate every op before spawning: a malformed stream must fail
-	// with an error here, not an index panic inside a cell program.
+	// Validate every op before spawning: a malformed stream — a loaded
+	// file is untrusted input — must fail with an error here, not an
+	// index panic or a stray access inside a cell program.
+	regions := t.Header.Regions
 	for si, ops := range t.Slots {
 		for oi, op := range ops {
 			if opArity[op.Kind] == 0 {
-				return nil, fmt.Errorf("workload: slot %d op %d: unknown op kind %d", si, oi, op.Kind)
+				return nil, nil, fmt.Errorf("workload: slot %d op %d: unknown op kind %d", si, oi, op.Kind)
 			}
 			switch op.Kind {
+			case OpRead, OpWrite, OpReadRange, OpWriteRange:
+				if err := checkDataOp(regions, op); err != nil {
+					return nil, nil, fmt.Errorf("workload: slot %d op %d: %w", si, oi, err)
+				}
 			case OpLockAcq, OpLockRel:
 				if op.A < 0 || op.A >= int64(len(locks)) {
-					return nil, fmt.Errorf("workload: slot %d op %d: lock id %d of %d", si, oi, op.A, len(locks))
+					return nil, nil, fmt.Errorf("workload: slot %d op %d: lock id %d of %d", si, oi, op.A, len(locks))
 				}
 			case OpBarrier:
 				if op.A < 0 || op.A >= int64(len(barriers)) {
-					return nil, fmt.Errorf("workload: slot %d op %d: barrier id %d of %d", si, oi, op.A, len(barriers))
+					return nil, nil, fmt.Errorf("workload: slot %d op %d: barrier id %d of %d", si, oi, op.A, len(barriers))
 				}
 			}
 		}
 	}
-	// Per-slot episode counters for flag barriers (indexed by barrier id).
-	epochs := make([][]uint64, len(t.Slots))
-	for i := range epochs {
-		epochs[i] = make([]uint64, len(barriers))
-	}
 	elapsed, err := m.RunOn(cells, func(p *machine.Proc) {
 		si := cellSlot[p.CellID()]
-		eps := epochs[si]
-		for _, op := range t.Slots[si] {
-			switch op.Kind {
-			case OpCompute:
-				p.Compute(op.A)
-			case OpRead:
-				p.Read(memory.Addr(op.A))
-			case OpWrite:
-				p.Write(memory.Addr(op.A))
-			case OpReadRange:
-				p.ReadRange(memory.Addr(op.A), op.B, op.C)
-			case OpWriteRange:
-				p.WriteRange(memory.Addr(op.A), op.B, op.C)
-			case OpLockAcq:
-				locks[op.A].Acquire(p)
-			case OpLockRel:
-				locks[op.A].Release(p)
-			case OpBarrier:
-				barriers[op.A].wait(p, &eps[op.A])
-			}
-		}
+		newSlotRun(p, t.Slots[si], locks, barriers).run()
 	})
 	if err != nil {
-		return nil, err
+		return nil, m, err
 	}
-	return buildReport(t, m, elapsed)
+	rep, err := buildReport(t, m, elapsed)
+	return rep, m, err
+}
+
+// checkDataOp checks that a data op stays inside the recorded regions:
+// a single access's word lies in one, and a range has a positive stride
+// and its last word, A+(B-1)·C, in the region holding its first. The
+// arithmetic cannot overflow, whatever the operands.
+func checkDataOp(regions []RegionDef, op Op) error {
+	const word = uint64(memory.WordSize)
+	what := "read"
+	switch op.Kind {
+	case OpWrite:
+		what = "write"
+	case OpReadRange:
+		what = "read range"
+	case OpWriteRange:
+		what = "write range"
+	}
+	if op.A < 0 {
+		return fmt.Errorf("%s at negative address %d", what, op.A)
+	}
+	a := uint64(op.A)
+	var last uint64 // the last word a region can hold
+	found := false
+	for _, rd := range regions {
+		if rd.Bytes < memory.WordSize || rd.Base > math.MaxUint64-uint64(rd.Bytes) {
+			continue
+		}
+		if end := rd.Base + uint64(rd.Bytes) - word; a >= rd.Base && a <= end {
+			last, found = end, true
+			break
+		}
+	}
+	if !found {
+		return fmt.Errorf("%s at %#x outside every recorded region", what, a)
+	}
+	if op.Kind == OpRead || op.Kind == OpWrite {
+		return nil
+	}
+	if op.C <= 0 {
+		return fmt.Errorf("%s from %#x with stride %d", what, a, op.C)
+	}
+	if op.B > 0 && uint64(op.B-1) > (last-a)/uint64(op.C) {
+		return fmt.Errorf("%s of %d words from %#x with stride %d runs past its region", what, op.B, a, op.C)
+	}
+	return nil
+}
+
+// slotRun interprets one slot's op stream on its processor. Compute and
+// data ops are the simulator's own code running over trace data, so they
+// run as one continuation chain (see machine.Proc.Run): the slot's
+// goroutine resumes only at a lock or barrier op, which runs ksync
+// program code, and at the end of the stream.
+type slotRun struct {
+	p        *machine.Proc
+	ops      []Op
+	next     int // index of the next op to run
+	locks    []ksync.Lock
+	barriers []runBarrier
+	eps      []uint64 // the slot's episode counters, by barrier id
+	stepFn   func()
+}
+
+func newSlotRun(p *machine.Proc, ops []Op, locks []ksync.Lock, barriers []runBarrier) *slotRun {
+	s := &slotRun{p: p, ops: ops, locks: locks, barriers: barriers, eps: make([]uint64, len(barriers))}
+	s.stepFn = s.step
+	return s
+}
+
+// run executes the stream: each chain of compute and data ops, then the
+// lock or barrier op that ended it, in the slot's goroutine.
+func (s *slotRun) run() {
+	for {
+		s.p.Run(s.stepFn)
+		if s.next == len(s.ops) {
+			return
+		}
+		op := s.ops[s.next]
+		s.next++
+		switch op.Kind {
+		case OpLockAcq:
+			s.locks[op.A].Acquire(s.p)
+		case OpLockRel:
+			s.locks[op.A].Release(s.p)
+		case OpBarrier:
+			s.barriers[op.A].wait(s.p, &s.eps[op.A])
+		}
+	}
+}
+
+// step issues the next compute or data op with itself as the op's
+// continuation. Zero-cost ops are skipped in a loop, never by recursion,
+// so no trace can grow the stack; a lock or barrier op, or the end of
+// the stream, ends the chain.
+//
+//ksr:hotpath
+func (s *slotRun) step() {
+	for s.next < len(s.ops) {
+		op := &s.ops[s.next]
+		switch op.Kind {
+		case OpCompute:
+			s.next++
+			if op.A > 0 {
+				s.p.ComputeThen(op.A, s.stepFn)
+				return
+			}
+		case OpRead, OpWrite:
+			s.next++
+			s.p.AccessThen(memory.Addr(op.A), 1, 0, op.Kind == OpWrite, s.stepFn)
+			return
+		case OpReadRange, OpWriteRange:
+			s.next++
+			if op.B > 0 {
+				s.p.AccessThen(memory.Addr(op.A), op.B, op.C, op.Kind == OpWriteRange, s.stepFn)
+				return
+			}
+		default:
+			return
+		}
+	}
 }
