@@ -60,7 +60,7 @@ func main() {
 
 			// All five spin; the upgrade to 2 invalidates them, and their
 			// refetches COMBINE into one ring transaction (snarfing).
-			v = p.SpinUntilWord(addr, func(v uint64) bool { return v >= 2 })
+			v = p.SpinUntilAtLeast(addr, 2)
 			if id == 1 {
 				say("saw %d — all %d spinners refilled by snarfing", v, 5)
 			}

@@ -44,9 +44,7 @@ func main() {
 
 		// Processor 0 gathers everyone's results.
 		if id == 0 {
-			p.SpinUntilWord(results.PaddedSlot(procs-1), func(v uint64) bool {
-				return v != 0
-			})
+			p.SpinUntilAtLeast(results.PaddedSlot(procs-1), 1)
 			var sum uint64
 			for q := 0; q < procs; q++ {
 				sum += p.ReadWord(results.PaddedSlot(int64(q)))

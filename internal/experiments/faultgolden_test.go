@@ -18,14 +18,15 @@ import (
 // faultCase is one small contended, fault-injected run for the fault-path
 // golden: a machine config, how many processors run, and the one cell
 // that fail-stops — on coherent machines while its processor is inside a
-// lock acquisition, or, for a range case, inside a ReadRange/WriteRange
-// sweep.
+// lock acquisition, for a range case inside a ReadRange/WriteRange
+// sweep, and for a spin case inside a flag spin.
 type faultCase struct {
 	label    string
 	cfg      machine.Config
 	procs    int
 	failCell int
 	ranges   bool
+	spins    bool
 }
 
 // faultCases covers the transaction paths the golden trace of
@@ -68,12 +69,30 @@ func faultCases() []faultCase {
 	sweep.Faults.FailStop = map[int]sim.Time{4: 60 * sim.Microsecond}
 	noSnarf := sweep
 	noSnarf.DisableSnarfing = true
+	// The spin cases run ksync barriers and locks on the same faulted
+	// ring, and a counter barrier on a butterfly with cell stalls and
+	// timer interrupts, whose spinners poll across the network. The last
+	// cell spins on a flag no other cell waits behind and fail-stops
+	// inside that spin.
+	ringSpin := sweep
+	ringSpin.Faults.FailStop = map[int]sim.Time{5: 1900 * sim.Microsecond}
+	bflySpin := machine.Butterfly(6)
+	bflySpin.TimerInterrupts = true
+	bflySpin.InterruptEvery = 30 * sim.Microsecond
+	bflySpin.InterruptCost = 2 * sim.Microsecond
+	bflySpin.Faults = faults.Config{
+		CellStallMean: 40 * sim.Microsecond,
+		CellStallTime: 3 * sim.Microsecond,
+		FailStop:      map[int]sim.Time{5: 66 * sim.Microsecond},
+	}
 	return []faultCase{
 		{label: "faults/ring", cfg: ring, procs: 6, failCell: 5},
 		{label: "faults/bus", cfg: bus, procs: 6, failCell: 4},
 		{label: "faults/butterfly", cfg: bfly, procs: 6, failCell: 2},
 		{label: "faults/ring-range", cfg: sweep, procs: 6, failCell: 4, ranges: true},
 		{label: "faults/ring-range-nosnarf", cfg: noSnarf, procs: 6, failCell: 4, ranges: true},
+		{label: "faults/ring-spin", cfg: ringSpin, procs: 6, failCell: 5, spins: true},
+		{label: "faults/butterfly-spin", cfg: bflySpin, procs: 6, failCell: 5, spins: true},
 	}
 }
 
@@ -88,6 +107,10 @@ func runFaultCase(t *testing.T, fc faultCase, rec *obs.Recorder) string {
 	m := machine.New(cfg)
 	if fc.ranges {
 		runRangeProgram(t, fc, m)
+		return faultCounters(fc, m)
+	}
+	if fc.spins {
+		runSpinProgram(t, fc, m)
 		return faultCounters(fc, m)
 	}
 	ctr := m.AllocWords("ctr", 1).At(0)
@@ -136,7 +159,7 @@ func runFaultCase(t *testing.T, fc faultCase, rec *obs.Recorder) string {
 // meet snarf joins), then write a few (write-serialization waits).
 // Cell 2 writes the first four, then publishes its iteration in a flag
 // sub-page with WriteWord and pushes it out with Poststore; cell 1 waits
-// for it in SpinUntilWords before its own sweep. Cell 0 prefetches a
+// for it in SpinUntilAllAtLeast before its own sweep. Cell 0 prefetches a
 // sub-page and reads it straight away, joining the in-flight prefetch.
 // The failing cell's fail-stop comes due between two fills of a sweep.
 func runRangeProgram(t *testing.T, fc faultCase, m *machine.Machine) {
@@ -169,14 +192,7 @@ func runRangeProgram(t *testing.T, fc faultCase, m *machine.Machine) {
 				p.Prefetch(shared.At(6 * memory.SubPageSize))
 				sweep(false, 6, 4)
 			case 1:
-				p.SpinUntilWords(flag, 4, func(v []uint64) bool {
-					for _, w := range v {
-						if w < i {
-							return false
-						}
-					}
-					return true
-				})
+				p.SpinUntilAllAtLeast(flag, 4, i)
 				sweep(false, 0, 16)
 			case 2:
 				sweep(true, 0, 8)
@@ -199,6 +215,102 @@ func runRangeProgram(t *testing.T, fc faultCase, m *machine.Machine) {
 	}
 	if failedInRange != fc.failCell {
 		t.Fatalf("%s: cell %d's fail-stop did not land inside a sweep", fc.label, fc.failCell)
+	}
+}
+
+// runSpinProgram runs the spin cases. Every cell but the last
+// synchronizes: on coherent machines two episodes each of the counter,
+// MCS (its parents spin on four packed child words at once) and
+// tournament(M) barriers, then two acquisitions each of the Anderson and
+// MCS queue locks, each around its own counter (the MCS lock's releases
+// meet a successor that has not linked itself yet), and of the
+// read-write ticket lock; on the butterfly, four counter-barrier
+// episodes whose spinners poll the counter's home module. Cell 0 raises
+// a flag after each barrier kind or episode. The last cell spins on that
+// flag for the final raise, which comes after its fail-stop: on the ring
+// it rereads the flag after every earlier raise and halts between the
+// last wake and its reread, and on the butterfly it halts in the gap
+// after a poll.
+func runSpinProgram(t *testing.T, fc faultCase, m *machine.Machine) {
+	t.Helper()
+	cfg := m.Config()
+	workers := fc.procs - 1
+	var barriers []ksync.Barrier
+	episodes := 2
+	names := []string{"counter", "mcs", "tournament(M)"}
+	if !cfg.Coherent {
+		names, episodes = names[:1], 4
+	}
+	for _, name := range names {
+		f, _ := ksync.ByName(name)
+		barriers = append(barriers, f.New(m, workers))
+	}
+	anderson, mcs, rw := ksync.NewAndersonLock(m), ksync.NewMCSLock(m), ksync.NewRWLock(m)
+	ctrs := m.AllocPadded("ctr", 2) // one counter per queue lock
+	flag := m.AllocPadded("flag", 1).PaddedSlot(0)
+	// Cell 0 raises the flag after each barrier kind on the ring and
+	// after each episode on the butterfly.
+	raises, lastRaise := uint64(0), uint64(len(barriers))
+	if !cfg.Coherent {
+		lastRaise = uint64(episodes)
+	}
+	inSpin, failedInSpin := false, false
+	_, err := m.Run(fc.procs, func(p *machine.Proc) {
+		id := p.CellID()
+		if id == workers {
+			defer func() {
+				// Runs while the fail-stop unwinds the cell.
+				failedInSpin = inSpin
+			}()
+			inSpin = true
+			p.SpinUntilAtLeast(flag, lastRaise)
+			inSpin = false
+			return
+		}
+		for _, b := range barriers {
+			for ep := 0; ep < episodes; ep++ {
+				p.Compute(int64(30 * (id + 1)))
+				b.Wait(p)
+				if id == 0 && (!cfg.Coherent || ep == episodes-1) {
+					raises++
+					p.WriteWord(flag, raises)
+				}
+			}
+		}
+		if !cfg.Coherent {
+			return
+		}
+		for i, l := range []ksync.Lock{anderson, mcs} {
+			ctr := ctrs.PaddedSlot(int64(i))
+			for k := 0; k < 2; k++ {
+				l.Acquire(p)
+				v := p.ReadWord(ctr)
+				p.Compute(100)
+				p.WriteWord(ctr, v+1)
+				l.Release(p)
+				p.Compute(int64(20 * id))
+			}
+		}
+		for k := 0; k < 2; k++ {
+			tok := rw.Acquire(p, (id+k)%2 == 0)
+			p.Compute(100)
+			rw.Release(p, tok)
+			p.Compute(int64(20 * id))
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", fc.label, err)
+	}
+	if failed := m.FailedCells(); len(failed) != 1 || failed[0] != fc.failCell {
+		t.Fatalf("%s: failed cells %v, want [%d]", fc.label, failed, fc.failCell)
+	}
+	if !failedInSpin {
+		t.Fatalf("%s: cell %d's fail-stop did not land inside its spin", fc.label, fc.failCell)
+	}
+	for i := int64(0); cfg.Coherent && i < 2; i++ {
+		if got, want := m.Space().ReadWord(ctrs.PaddedSlot(i)), uint64(2*workers); got != want {
+			t.Fatalf("%s: lock %d's counter is %d, want %d", fc.label, i, got, want)
+		}
 	}
 }
 

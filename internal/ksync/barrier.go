@@ -89,8 +89,3 @@ func signal(p *machine.Proc, addr memory.Addr, e uint64, poststore bool) {
 		p.Poststore(addr)
 	}
 }
-
-// spinAtLeast waits until the flag word reaches epoch e.
-func spinAtLeast(p *machine.Proc, addr memory.Addr, e uint64) {
-	p.SpinUntilWord(addr, func(v uint64) bool { return v >= e })
-}

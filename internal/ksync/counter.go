@@ -48,5 +48,5 @@ func (b *Counter) Wait(p *machine.Proc) {
 	target := (k/2 + 1) * uint64(b.procs)
 	p.FetchAdd(ctr, 1)
 	// Spin on the counter itself, as the paper's Algorithm 1 does.
-	p.SpinUntilWord(ctr, func(v uint64) bool { return v >= target })
+	p.SpinUntilAtLeast(ctr, target)
 }

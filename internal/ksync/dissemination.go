@@ -50,6 +50,6 @@ func (b *Dissemination) Wait(p *machine.Proc) {
 	for r := 0; r < b.rounds; r++ {
 		partner := (id + (1 << r)) % b.procs
 		signal(p, b.flags[r].Addr(partner), e, b.UsePoststore)
-		spinAtLeast(p, b.flags[r].Addr(id), e)
+		p.SpinUntilAtLeast(b.flags[r].Addr(id), e)
 	}
 }

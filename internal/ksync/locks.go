@@ -129,7 +129,7 @@ func (l *RWLock) Acquire(p *machine.Proc, read bool) Token {
 		}
 	}
 	p.ReleaseSubPage(l.meta)
-	spinAtLeast(p, l.serving, my)
+	p.SpinUntilAtLeast(l.serving, my)
 	if r := p.Obs(); r.Enabled(obs.CatSync) {
 		mode := int64(0)
 		if read {

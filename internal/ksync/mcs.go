@@ -77,14 +77,7 @@ func (b *MCS) Wait(p *machine.Proc) {
 	// Arrival: wait for my 4-ary children on the packed word, then report
 	// to my parent's packed word (the false-sharing store).
 	if nc := b.arrivalChildren(id); nc > 0 {
-		p.SpinUntilWords(b.childNotReady.Addr(id), nc, func(vals []uint64) bool {
-			for _, v := range vals {
-				if v < e {
-					return false
-				}
-			}
-			return true
-		})
+		p.SpinUntilAllAtLeast(b.childNotReady.Addr(id), nc, e)
 	}
 	if id != 0 {
 		parent := (id - 1) / 4
@@ -96,7 +89,7 @@ func (b *MCS) Wait(p *machine.Proc) {
 		if id == 0 {
 			signal(p, b.global, e, b.UsePoststore)
 		} else {
-			spinAtLeast(p, b.global, e)
+			p.SpinUntilAtLeast(b.global, e)
 		}
 		return
 	}
@@ -104,7 +97,7 @@ func (b *MCS) Wait(p *machine.Proc) {
 	// Binary wakeup tree: wait for my wakeup (unless root), then release
 	// my two wakeup children.
 	if id != 0 {
-		spinAtLeast(p, b.wakeup.Addr(id), e)
+		p.SpinUntilAtLeast(b.wakeup.Addr(id), e)
 	}
 	for _, c := range []int{2*id + 1, 2*id + 2} {
 		if c < b.procs {

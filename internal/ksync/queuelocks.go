@@ -65,7 +65,7 @@ func (l *AndersonLock) slot(t uint64) memory.Addr {
 func (l *AndersonLock) Acquire(p *machine.Proc) {
 	t := p.FetchAdd(l.ticket, 1)
 	pass := t/l.nslots + 1
-	p.SpinUntilWord(l.slot(t), func(v uint64) bool { return v >= pass })
+	p.SpinUntilAtLeast(l.slot(t), pass)
 	l.held[p.CellID()] = t
 }
 
@@ -130,7 +130,7 @@ func (l *MCSLock) Acquire(p *machine.Proc) {
 	}
 	// Link behind the predecessor and spin on my own flag.
 	p.WriteWord(l.nextOf(int(pred-1)), uint64(me)+1)
-	p.SpinUntilWord(l.flagOf(me), func(v uint64) bool { return v != 0 })
+	p.SpinUntilAtLeast(l.flagOf(me), 1)
 	p.WriteWord(l.flagOf(me), 0) // consume the grant
 }
 
@@ -144,7 +144,7 @@ func (l *MCSLock) Release(p *machine.Proc) {
 		if p.CompareAndSwap(l.tail, uint64(me)+1, 0) {
 			return
 		}
-		succ = p.SpinUntilWord(l.nextOf(me), func(v uint64) bool { return v != 0 })
+		succ = p.SpinUntilAtLeast(l.nextOf(me), 1)
 	}
 	addr := l.flagOf(int(succ - 1))
 	p.WriteWord(addr, 1)

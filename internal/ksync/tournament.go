@@ -83,7 +83,7 @@ func (b *Tournament) Wait(p *machine.Proc) {
 		case 0:
 			if partner := id + half; partner < b.procs {
 				// Statically determined winner: wait for the loser.
-				spinAtLeast(p, b.arrival[k-1].Addr(id), e)
+				p.SpinUntilAtLeast(b.arrival[k-1].Addr(id), e)
 			}
 			// else: bye — advance unopposed.
 		case half:
@@ -100,7 +100,7 @@ func (b *Tournament) Wait(p *machine.Proc) {
 		if lostAt == 0 {
 			signal(p, b.global, e, b.UsePoststore)
 		} else {
-			spinAtLeast(p, b.global, e)
+			p.SpinUntilAtLeast(b.global, e)
 		}
 		return
 	}
@@ -109,6 +109,6 @@ func (b *Tournament) Wait(p *machine.Proc) {
 		b.wakeLosers(p, id, b.rounds+1, e)
 		return
 	}
-	spinAtLeast(p, b.wakeup.Addr(id), e)
+	p.SpinUntilAtLeast(b.wakeup.Addr(id), e)
 	b.wakeLosers(p, id, lostAt, e)
 }

@@ -116,14 +116,14 @@ func (b *Tree) Wait(p *machine.Proc) {
 			signal(p, b.global, e, b.UsePoststore)
 			return
 		}
-		spinAtLeast(p, b.global, e)
+		p.SpinUntilAtLeast(b.global, e)
 		return
 	}
 
 	// Tree wakeup: park at the lost node, then propagate down the nodes
 	// this processor won (top-down), waking the processor parked at each.
 	if stoppedAt >= 0 {
-		spinAtLeast(p, b.flags[stoppedAt], e)
+		p.SpinUntilAtLeast(b.flags[stoppedAt], e)
 	}
 	for i := len(path) - 1; i >= 0; i-- {
 		w := path[i]

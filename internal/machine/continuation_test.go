@@ -1,18 +1,21 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/memory"
+	"repro/internal/prof"
 	"repro/internal/sim"
 )
 
 // A fail-stop that comes due inside a chain — while a cell waits inside
-// AcquireSubPage, or between two fills of one ReadRange — halts that
-// cell in its own goroutine. The step that notices it runs in another
-// cell's goroutine, so it must end the chain rather than panic there:
-// the other cell finishes its program, and only the failing cell halts.
+// AcquireSubPage, between two fills of one ReadRange, or inside a flag
+// spin — halts that cell in its own goroutine. The step that notices it
+// runs in another cell's goroutine, so it must end the chain rather than
+// panic there: the other cell finishes its program, and only the failing
+// cell halts.
 func TestFailStopInsideChainHaltsOwnCell(t *testing.T) {
 	t.Run("AcquireSubPage", func(t *testing.T) {
 		cfg := KSR1(2)
@@ -84,6 +87,89 @@ func TestFailStopInsideChainHaltsOwnCell(t *testing.T) {
 				mon.Accesses, mon.RemoteAccesses)
 		}
 	})
+	t.Run("SpinUntilAtLeast", func(t *testing.T) {
+		// Cell 1 spins on a flag cell 0 raises at 100 us. Its fail-stop
+		// comes due at 50 us, while it is parked waiting for the flag's
+		// sub-page to change, so the reread after the wake finds it due.
+		cfg := KSR1(2)
+		cfg.Faults = faults.Config{FailStop: map[int]sim.Time{1: 50 * sim.Microsecond}}
+		m := New(cfg)
+		flag := m.AllocPadded("flag", 1).PaddedSlot(0)
+		finished := make([]bool, 2)
+		var raisedAt, haltedAt sim.Time
+		_, err := m.Run(2, func(p *Proc) {
+			if p.CellID() == 0 {
+				p.Compute(2000) // 100 us
+				raisedAt = p.Now()
+				p.WriteWord(flag, 1)
+				// Short computes keep cell 0 parking after cell 1, so
+				// cell 1's wake step runs in cell 0's goroutine.
+				for i := 0; i < 100; i++ {
+					p.Compute(10)
+				}
+			} else {
+				defer func() { haltedAt = p.Now() }()
+				p.SpinUntilAtLeast(flag, 1)
+			}
+			finished[p.CellID()] = true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !finished[0] || finished[1] {
+			t.Errorf("finished = %v, want cell 0 only", finished)
+		}
+		if got := m.FailedCells(); len(got) != 1 || got[0] != 1 {
+			t.Errorf("FailedCells = %v, want [1]", got)
+		}
+		if haltedAt < raisedAt {
+			t.Errorf("cell 1 halted at %v, before the flag was raised at %v", haltedAt, raisedAt)
+		}
+		// The first read was made; the reread never began.
+		if a := m.CellAt(1).Monitor().Accesses; a != 1 {
+			t.Errorf("cell 1: %d accesses, want 1 (halted before the reread)", a)
+		}
+	})
+	t.Run("SpinUntilAtLeastButterfly", func(t *testing.T) {
+		// Cell 1 polls a flag homed on cell 0's module: a 2 us probe,
+		// then a 1 us gap, from 0 us on. Its fail-stop comes due at
+		// 10 us, inside the probe that ends at 11 us, so the poll gap
+		// after that probe finds it due.
+		cfg := Butterfly(2)
+		cfg.Faults = faults.Config{FailStop: map[int]sim.Time{1: 10 * sim.Microsecond}}
+		m := New(cfg)
+		flag := m.AllocPerCell("flag").Addr(0)
+		var probed, haltedAt sim.Time
+		m.prof.Access = func(cell int, _ prof.Phase, _ sim.Time) {
+			if cell == 1 {
+				probed = m.Now()
+			}
+		}
+		finished := make([]bool, 2)
+		_, err := m.Run(2, func(p *Proc) {
+			if p.CellID() == 0 {
+				p.Compute(400) // 20 us
+				p.WriteWord(flag, 1)
+			} else {
+				defer func() { haltedAt = p.Now() }()
+				p.SpinUntilAtLeast(flag, 1)
+			}
+			finished[p.CellID()] = true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !finished[0] || finished[1] {
+			t.Errorf("finished = %v, want cell 0 only", finished)
+		}
+		if got := m.FailedCells(); len(got) != 1 || got[0] != 1 {
+			t.Errorf("FailedCells = %v, want [1]", got)
+		}
+		if haltedAt != 11*sim.Microsecond || probed != haltedAt {
+			t.Errorf("cell 1 halted at %v, last probe ended at %v; want both at 11us (in the poll gap)",
+				haltedAt, probed)
+		}
+	})
 }
 
 // Engine.Shutdown unwinds a processor parked in the middle of a fill
@@ -113,6 +199,51 @@ func TestShutdownUnwindsParkedFill(t *testing.T) {
 	}
 	if tx := m.Fabric().Stats().Transactions; tx != 0 {
 		t.Errorf("%d fabric transactions completed, want 0", tx)
+	}
+}
+
+// Engine.Shutdown unwinds a processor parked in a spin's wait for the
+// flag's sub-page to change without running the wait's step: the flag
+// is never reread and the spin never returns.
+func TestShutdownUnwindsParkedSpin(t *testing.T) {
+	m := New(KSR1(2))
+	flag := m.AllocPadded("flag", 1).PaddedSlot(0)
+	m.Engine().SetDeadline(100 * sim.Microsecond)
+	charged := false
+	m.prof.Charge = func(cell int, ph prof.Phase, _ sim.Time) {
+		if cell == 0 && ph == prof.PhaseOther {
+			charged = true
+		}
+	}
+	unwound, returned := false, false
+	_, err := m.Run(2, func(p *Proc) {
+		if p.CellID() == 1 {
+			p.Compute(4000) // 200 us: the run ends at the deadline, not in a deadlock
+			return
+		}
+		defer func() { unwound = true }()
+		p.SpinUntilAtLeast(flag, 1)
+		returned = true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("cond subpage %d", uint64(flag.SubPage()))
+	if b := m.Engine().BlockedProcs(); len(b) != 1 || b[0].Name != "cell0" || b[0].Reason != want {
+		t.Fatalf("blocked at the deadline: %v, want cell0 on %q", b, want)
+	}
+	m.Close()
+	if !unwound {
+		t.Error("Shutdown did not unwind the spinning processor's program")
+	}
+	if returned {
+		t.Error("the spin returned")
+	}
+	if charged {
+		t.Error("Shutdown ran the wait's step: its wait was charged")
+	}
+	if a := m.CellAt(0).Monitor().Accesses; a != 1 {
+		t.Errorf("cell 0 made %d accesses, want 1 (no reread)", a)
 	}
 }
 
@@ -233,6 +364,66 @@ func TestGetSubPageRetryAllocs(t *testing.T) {
 	}
 	if m.CellAt(0).Monitor().GSPRetries == 0 {
 		t.Error("cell 0's acquisitions were never contended")
+	}
+}
+
+// A one-word spin that waits for one change and a four-word spin
+// allocate nothing once the processor has made its first spin of each
+// width. Cell 0 raises the flag words to k at the start of period k;
+// cell 1 spins for k from mid-period k-1, so every spin finds the words
+// below k, waits for the sub-page to change and rereads.
+func TestSpinAllocs(t *testing.T) {
+	m := New(KSR1(2))
+	flag := m.AllocPadded("flag", 1).PaddedSlot(0)
+	const period = 200 * sim.Microsecond
+	const runs = 20
+	// Each measurement makes runs spins plus AllocsPerRun's warm-up.
+	const raises = 2 * (runs + 1)
+	waitUntil := func(p *Proc, at sim.Time) {
+		if d := at - p.Now(); d > 0 {
+			p.Compute(int64(d / m.Config().CPUCycle))
+		}
+	}
+	var one, four float64
+	_, err := m.Run(2, func(p *Proc) {
+		if p.CellID() == 0 {
+			for k := uint64(1); k <= raises; k++ {
+				waitUntil(p, sim.Time(k)*period)
+				width := int64(1)
+				if k > runs+1 {
+					width = 4
+				}
+				for w := int64(0); w < width; w++ {
+					p.WriteWord(flag+memory.Addr(w*memory.WordSize), k)
+				}
+			}
+			return
+		}
+		k := uint64(0)
+		one = testing.AllocsPerRun(runs, func() {
+			k++
+			waitUntil(p, sim.Time(k)*period-period/2)
+			if v := p.SpinUntilAtLeast(flag, k); v != k {
+				t.Errorf("one-word spin for %d returned %d", k, v)
+			}
+		})
+		four = testing.AllocsPerRun(runs, func() {
+			k++
+			waitUntil(p, sim.Time(k)*period-period/2)
+			p.SpinUntilAllAtLeast(flag, 4, k)
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one != 0 {
+		t.Errorf("one-word spin: %v allocs, want 0", one)
+	}
+	if four != 0 {
+		t.Errorf("four-word spin: %v allocs, want 0", four)
+	}
+	if inv := m.Directory().Stats().Invalidations; inv < raises {
+		t.Errorf("%d invalidations, want at least one per raise", inv)
 	}
 }
 

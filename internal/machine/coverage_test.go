@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/memory"
@@ -62,34 +63,67 @@ func TestWriteRangeTakesOwnershipPerSubPage(t *testing.T) {
 	}
 }
 
-func TestSpinUntilWordsCrossBoundaryPanics(t *testing.T) {
+func TestSpinUntilAllAtLeastCrossBoundaryPanics(t *testing.T) {
 	m := New(KSR1(2))
 	r := m.Alloc("x", 1024)
 	_, err := m.Run(1, func(p *Proc) {
 		defer func() {
 			if recover() == nil {
-				t.Error("cross-sub-page SpinUntilWords did not panic")
+				t.Error("cross-sub-page SpinUntilAllAtLeast did not panic")
 			}
 		}()
-		p.SpinUntilWords(r.At(120), 4, func([]uint64) bool { return true })
+		p.SpinUntilAllAtLeast(r.At(120), 4, 1)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestSpinUntilWordsImmediateSatisfaction(t *testing.T) {
-	m := New(KSR1(2))
-	r := m.AllocPadded("x", 1)
-	m.Space().WriteWord(r.PaddedSlot(0), 3)
-	m.Space().WriteWord(r.PaddedSlot(0)+8, 4)
-	_, err := m.Run(1, func(p *Proc) {
-		p.SpinUntilWords(r.PaddedSlot(0), 2, func(v []uint64) bool {
-			return v[0] == 3 && v[1] == 4
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
+// A word count below one is rejected in the caller's goroutine before
+// any access, whether or not addr is sub-page aligned: the range check
+// alone would look at the word before addr.
+func TestSpinUntilAllAtLeastRejectsNoWords(t *testing.T) {
+	for _, off := range []memory.Addr{0, memory.WordSize} {
+		for _, n := range []int{0, -1} {
+			m := New(KSR1(2))
+			addr := m.AllocPadded("x", 1).PaddedSlot(0) + off
+			_, err := m.Run(1, func(p *Proc) {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "at least one word") {
+						t.Errorf("offset %d, %d words: panic %q, want the word-count message", off, n, msg)
+					}
+				}()
+				p.SpinUntilAllAtLeast(addr, n, 1)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a := m.CellAt(0).Monitor().Accesses; a != 0 {
+				t.Errorf("offset %d, %d words: %d accesses before the panic, want 0", off, n, a)
+			}
+		}
+	}
+}
+
+// Words already at the threshold end the spin after one read of each:
+// the run takes exactly as long as a plain read of the two words.
+func TestSpinUntilAllAtLeastImmediateSatisfaction(t *testing.T) {
+	run := func(body func(p *Proc, addr memory.Addr)) sim.Time {
+		m := New(KSR1(2))
+		r := m.AllocPadded("x", 1)
+		m.Space().WriteWord(r.PaddedSlot(0), 3)
+		m.Space().WriteWord(r.PaddedSlot(0)+8, 4)
+		el, err := m.Run(1, func(p *Proc) { body(p, r.PaddedSlot(0)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return el
+	}
+	spin := run(func(p *Proc, addr memory.Addr) { p.SpinUntilAllAtLeast(addr, 2, 3) })
+	read := run(func(p *Proc, addr memory.Addr) { p.ReadRange(addr, 2, memory.WordSize) })
+	if spin != read {
+		t.Errorf("satisfied spin took %v, a plain 2-word read %v", spin, read)
 	}
 }
 

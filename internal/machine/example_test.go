@@ -18,7 +18,7 @@ func ExampleMachine_Run() {
 			p.Compute(1000) // 50 us of local work
 			p.WriteWord(flag.PaddedSlot(0), 7)
 		} else {
-			v := p.SpinUntilWord(flag.PaddedSlot(0), func(v uint64) bool { return v != 0 })
+			v := p.SpinUntilAtLeast(flag.PaddedSlot(0), 1)
 			fmt.Println("spinner saw", v)
 		}
 	})

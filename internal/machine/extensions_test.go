@@ -122,7 +122,7 @@ func TestDisableSnarfingMultipliesFetches(t *testing.T) {
 				p.Compute(100000)
 				p.WriteWord(flag.PaddedSlot(0), 1)
 			} else {
-				p.SpinUntilWord(flag.PaddedSlot(0), func(v uint64) bool { return v == 1 })
+				p.SpinUntilAtLeast(flag.PaddedSlot(0), 1)
 			}
 		})
 		if err != nil {

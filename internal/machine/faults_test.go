@@ -65,7 +65,7 @@ func TestFailStopWedgesPeer(t *testing.T) {
 			p.WriteWord(flag.Word(0), 1)
 			return
 		}
-		p.SpinUntilWord(flag.Word(0), func(v uint64) bool { return v == 1 })
+		p.SpinUntilAtLeast(flag.Word(0), 1)
 	})
 
 	var dl *sim.DeadlockError

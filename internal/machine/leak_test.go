@@ -38,7 +38,7 @@ func TestRunErrorReleasesGoroutines(t *testing.T) {
 				p.WriteWord(flag.Word(0), 1)
 				return
 			}
-			p.SpinUntilWord(flag.Word(0), func(v uint64) bool { return v == 1 })
+			p.SpinUntilAtLeast(flag.Word(0), 1)
 		})
 		if err == nil {
 			t.Fatal("expected an error from the wedged run")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/memory"
+	"repro/internal/prof"
 	"repro/internal/sim"
 )
 
@@ -198,7 +199,7 @@ func TestGetSubPageContention(t *testing.T) {
 	}
 }
 
-func TestSpinUntilWordWakesOnWrite(t *testing.T) {
+func TestSpinUntilAtLeastWakesOnWrite(t *testing.T) {
 	m := New(KSR1(32))
 	flag := m.AllocPadded("flag", 1)
 	var sawAt, wroteAt sim.Time
@@ -208,7 +209,7 @@ func TestSpinUntilWordWakesOnWrite(t *testing.T) {
 			wroteAt = p.Now()
 			p.WriteWord(flag.PaddedSlot(0), 1)
 		} else {
-			p.SpinUntilWord(flag.PaddedSlot(0), func(v uint64) bool { return v == 1 })
+			p.SpinUntilAtLeast(flag.PaddedSlot(0), 1)
 			sawAt = p.Now()
 		}
 	})
@@ -220,6 +221,59 @@ func TestSpinUntilWordWakesOnWrite(t *testing.T) {
 	}
 	if sawAt > wroteAt+100000 {
 		t.Errorf("spinner woke %v after write — wakeup not event-driven", sawAt-wroteAt)
+	}
+}
+
+// A spin charges the profiler for every nanosecond it takes: its reads'
+// memory cycles and fabric latencies as memory, and as other its waits
+// for the flag's sub-page to change — nearly all of a 100 us spin on
+// the ring — or, on the butterfly, its poll gaps, 1 us after every 2 us
+// probe.
+func TestSpinChargesItsWholeWait(t *testing.T) {
+	for _, tc := range []struct {
+		cfg      Config
+		minOther sim.Time
+	}{
+		{KSR1(2), 90 * sim.Microsecond},
+		{Butterfly(2), 30 * sim.Microsecond},
+	} {
+		m := New(tc.cfg)
+		flag := m.AllocPerCell("flag").Addr(0)
+		var charged, other sim.Time
+		m.prof = prof.Hooks{
+			Charge: func(cell int, ph prof.Phase, d sim.Time) {
+				if cell == 1 {
+					charged += d
+					if ph == prof.PhaseOther {
+						other += d
+					}
+				}
+			},
+			Access: func(cell int, _ prof.Phase, lat sim.Time) {
+				if cell == 1 {
+					charged += lat
+				}
+			},
+		}
+		var spun sim.Time
+		_, err := m.Run(2, func(p *Proc) {
+			if p.CellID() == 0 {
+				p.Compute(2000) // 100 us
+				p.WriteWord(flag, 1)
+				return
+			}
+			p.SpinUntilAtLeast(flag, 1)
+			spun = p.Now()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if charged != spun {
+			t.Errorf("%s: spin took %v, charged %v", tc.cfg.Name, spun, charged)
+		}
+		if other < tc.minOther {
+			t.Errorf("%s: %v of the spin charged as other, want at least %v", tc.cfg.Name, other, tc.minOther)
+		}
 	}
 }
 
@@ -235,7 +289,7 @@ func TestSpinningGeneratesNoRingTraffic(t *testing.T) {
 		} else {
 			p.ReadWord(flag.PaddedSlot(0)) // prime the cache
 			p.Machine().ResetMonitors()
-			p.SpinUntilWord(flag.PaddedSlot(0), func(v uint64) bool { return v == 1 })
+			p.SpinUntilAtLeast(flag.PaddedSlot(0), 1)
 		}
 	})
 	if err != nil {
@@ -407,7 +461,7 @@ func TestButterflySpinPolls(t *testing.T) {
 			p.Compute(2000)
 			p.WriteWord(flag.Addr(0), 1)
 		} else {
-			p.SpinUntilWord(flag.Addr(0), func(v uint64) bool { return v == 1 })
+			p.SpinUntilAtLeast(flag.Addr(0), 1)
 		}
 	})
 	if err != nil {

@@ -28,8 +28,9 @@ type Proc struct {
 	// cell once its goroutine resumes.
 	halting bool
 
-	acc accessChain // memory operations as one continuation chain
-	gsp gspChain    // get_sub_page attempts as one continuation chain
+	acc  accessChain // memory operations as one continuation chain
+	gsp  gspChain    // get_sub_page attempts as one continuation chain
+	spin spinChain   // flag spins as one continuation chain
 }
 
 // accessChain runs a Proc's memory operation — one word or a strided
@@ -54,7 +55,6 @@ type accessChain struct {
 	store bool // WriteWord: store val when the word's access completes
 	val   uint64
 	vals  []uint64 // capture each word's value when its access completes
-	words []uint64 // SpinUntilWords: the values of the words being read
 
 	done func() // continuation after the final charge, nil ends the chain
 
@@ -63,7 +63,6 @@ type accessChain struct {
 	filledFn     func(lat sim.Time, remote bool)
 	remoteFn     func()
 	remoteDoneFn func()
-	readRestFn   func()
 }
 
 // gspChain runs a Proc's get_sub_page attempts on one sub-page as a
@@ -83,6 +82,28 @@ type gspChain struct {
 	attemptFn func()
 	doneFn    func(ok bool, lat sim.Time)
 	waitedFn  func()
+}
+
+// spinChain runs a Proc's flag spin — SpinUntilAtLeast on one word,
+// SpinUntilAllAtLeast on several in one sub-page — as a single
+// continuation chain (see sim.Process.Run). The version snapshot, the
+// read through the access chain, the threshold compare, and the wait for
+// the sub-page to change (on a cacheless machine, the poll gap) are all
+// steps, so the processor's goroutine resumes only once every word has
+// reached the threshold, however often the words change on the way. Its
+// step method values are bound once, on the Proc's first spin.
+type spinChain struct {
+	p     *Proc
+	addr  memory.Addr // the first word spun on
+	min   uint64      // the value every word must reach
+	words []uint64    // the words' values as last read, one per word
+	ver   uint64      // sub-page version seen before the current read
+	start sim.Time    // when the current wait for a change began
+
+	readFn     func()
+	readRestFn func()
+	comparedFn func()
+	waitedFn   func()
 }
 
 // CellID returns the cell this Proc runs on.
@@ -267,7 +288,6 @@ func (a *accessChain) bind(p *Proc) {
 	a.p = p
 	a.runFn, a.fillFn, a.filledFn = a.run, a.fill, a.filled
 	a.remoteFn, a.remoteDoneFn = a.remote, a.remoteDone
-	a.readRestFn = a.readRest
 }
 
 // begin sets the record up for count accesses from addr, stride bytes
@@ -764,93 +784,140 @@ func (p *Proc) CompareAndSwap(addr memory.Addr, old, new uint64) bool {
 	return true
 }
 
-// SpinUntilWord reads the word at addr until pred holds, returning the
-// value that satisfied it. On a coherent machine the spin runs entirely in
-// the cell's own caches — zero network traffic — and resumes when the
-// sub-page is invalidated or updated, exactly like hardware spinning on a
-// cached flag. On the cacheless butterfly every poll is a network access
-// to the flag's home module (the reason the paper says global-flag wakeup
-// "cannot be used" there).
-func (p *Proc) SpinUntilWord(addr memory.Addr, pred func(uint64) bool) uint64 {
-	if p.m.cfg.Coherent {
-		sp := addr.SubPage()
-		for {
-			ver := p.m.dir.Version(sp)
-			v := p.ReadWord(addr)
-			if pred(v) {
-				return v
-			}
-			start := p.sp.Now()
-			p.m.dir.WaitChange(p.sp, sp, ver)
-			if fn := p.m.prof.Charge; fn != nil {
-				// Flag-spin wait outside any synchronization span: other.
-				fn(p.cell.id, prof.PhaseOther, p.sp.Now()-start)
-			}
-		}
-	}
-	for {
-		v := p.ReadWord(addr)
-		if pred(v) {
-			return v
-		}
-		p.chargeCyclesAs(20, prof.PhaseOther) // poll gap between remote probes
-	}
+// SpinUntilAtLeast reads the word at addr until it holds at least min and
+// returns the value that did. The flags and counters synchronization
+// spins on only ever grow (epochs, tickets, pass numbers; a raised flag
+// is 1), so "at least" covers every spin, and a data-only threshold lets
+// the whole spin run as one continuation chain. On a coherent machine
+// the spin runs entirely in the cell's own caches — zero network traffic
+// — and rereads when the sub-page is invalidated or updated, exactly
+// like hardware spinning on a cached flag. On the cacheless butterfly
+// every poll is a network access to the flag's home module (the reason
+// the paper says global-flag wakeup "cannot be used" there).
+func (p *Proc) SpinUntilAtLeast(addr memory.Addr, min uint64) uint64 {
+	return p.runSpin(addr, 1, min)
 }
 
-// SpinUntilWords spins until pred holds over the n consecutive words
-// starting at addr, which must all lie in one sub-page (it is the
-// multi-word analogue of SpinUntilWord, used by the MCS barrier's packed
-// child-notready word). The values slice passed to pred is reused across
-// iterations.
-func (p *Proc) SpinUntilWords(addr memory.Addr, n int, pred func([]uint64) bool) {
+// SpinUntilAllAtLeast spins until each of the n consecutive words
+// starting at addr holds at least min. The words must all lie in one
+// sub-page: it is the multi-word form of SpinUntilAtLeast, used by the
+// MCS barrier's packed child-notready words.
+func (p *Proc) SpinUntilAllAtLeast(addr memory.Addr, n int, min uint64) {
+	if n < 1 {
+		panic(fmt.Sprintf("machine: SpinUntilAllAtLeast needs at least one word, got %d", n))
+	}
 	if addr.SubPage() != (addr + memory.Addr(n*memory.WordSize) - 1).SubPage() {
-		panic("machine: SpinUntilWords range crosses a sub-page boundary")
+		panic("machine: SpinUntilAllAtLeast range crosses a sub-page boundary")
 	}
-	vals := make([]uint64, n)
-	readAll := func() {
-		// One chain: a timed Read fetches the sub-page, then the other
-		// words are read, each value captured when its access completes.
-		a := p.accessor()
-		a.begin(addr, 1, 0, false, a.readRestFn)
-		a.words = vals
-		p.Run(a.runFn)
-	}
-	if p.m.cfg.Coherent {
-		sp := addr.SubPage()
-		for {
-			ver := p.m.dir.Version(sp)
-			readAll()
-			if pred(vals) {
-				return
-			}
-			start := p.sp.Now()
-			p.m.dir.WaitChange(p.sp, sp, ver)
-			if fn := p.m.prof.Charge; fn != nil {
-				fn(p.cell.id, prof.PhaseOther, p.sp.Now()-start)
-			}
-		}
-	}
-	for {
-		readAll()
-		if pred(vals) {
-			return
-		}
-		p.chargeCyclesAs(20, prof.PhaseOther)
-	}
+	p.runSpin(addr, n, min)
 }
 
-// readRest captures the first word of a SpinUntilWords read, whose Read
-// has completed, then reads the others, capturing each value when its
-// access completes.
+// runSpin runs a spin on n words from addr as one chain and returns the
+// first word's final value.
+func (p *Proc) runSpin(addr memory.Addr, n int, min uint64) uint64 {
+	s := &p.spin
+	if s.p == nil {
+		s.bind(p)
+	}
+	if cap(s.words) < n {
+		s.grow(n)
+	}
+	s.addr, s.min, s.words = addr, min, s.words[:n]
+	p.Run(s.readFn)
+	return s.words[0]
+}
+
+// bind sets up the spin record's steps on the Proc's first spin.
+//
+//ksr:coldpath once per processor
+func (s *spinChain) bind(p *Proc) {
+	s.p = p
+	s.readFn, s.readRestFn = s.read, s.readRest
+	s.comparedFn, s.waitedFn = s.compared, s.waited
+}
+
+// grow makes room for the values of an n-word spin.
+//
+//ksr:coldpath once per processor and spin width
+func (s *spinChain) grow(n int) {
+	s.words = make([]uint64, n)
+}
+
+// read snapshots the sub-page's version on a coherent machine, so no
+// change after it can be missed, then reads the first word through the
+// access chain.
 //
 //ksr:hotpath
-func (a *accessChain) readRest() {
-	words := a.words
-	a.words = nil
-	words[0] = a.p.m.space.ReadWord(a.addr)
-	a.begin(a.addr+memory.WordSize, int64(len(words)-1), memory.WordSize, false, nil)
-	a.vals = words[1:]
+func (s *spinChain) read() {
+	p := s.p
+	if p.m.cfg.Coherent {
+		s.ver = p.m.dir.Version(s.addr.SubPage())
+	}
+	a := p.accessor()
+	a.begin(s.addr, 1, 0, false, s.readRestFn)
 	a.run()
+}
+
+// readRest captures the first word, whose read has completed, then reads
+// the others, if any, capturing each value when its access completes,
+// and carries on to the compare.
+//
+//ksr:hotpath
+func (s *spinChain) readRest() {
+	p := s.p
+	s.words[0] = p.m.space.ReadWord(s.addr)
+	a := &p.acc
+	a.begin(s.addr+memory.WordSize, int64(len(s.words)-1), memory.WordSize, false, s.comparedFn)
+	a.vals = s.words[1:]
+	a.run()
+}
+
+// compared ends the chain once every word has reached the threshold.
+// Otherwise a coherent machine waits for the sub-page to change, and a
+// cacheless one sleeps out the poll gap between two remote probes; the
+// gap begins at an instruction boundary, where a fail-stop that has come
+// due ends the chain.
+//
+//ksr:hotpath
+func (s *spinChain) compared() {
+	if s.reached() {
+		return
+	}
+	p := s.p
+	if p.m.cfg.Coherent {
+		s.start = p.sp.Now()
+		p.m.dir.WaitChangeThen(p.sp, s.addr.SubPage(), s.ver, s.waitedFn)
+		return
+	}
+	if p.failStopDue() {
+		p.halting = true
+		return
+	}
+	p.sp.SleepThen(p.cycleTime(20, prof.PhaseOther), s.readFn)
+}
+
+// reached reports whether every word has reached the threshold.
+//
+//ksr:hotpath
+func (s *spinChain) reached() bool {
+	for _, v := range s.words {
+		if v < s.min {
+			return false
+		}
+	}
+	return true
+}
+
+// waited charges the wait for the sub-page to change and rereads.
+//
+//ksr:hotpath
+func (s *spinChain) waited() {
+	p := s.p
+	if fn := p.m.prof.Charge; fn != nil {
+		// Flag-spin wait outside any synchronization span: other.
+		fn(p.cell.id, prof.PhaseOther, p.sp.Now()-s.start)
+	}
+	s.read()
 }
 
 // Poststore executes the poststore instruction for the sub-page holding

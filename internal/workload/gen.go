@@ -362,7 +362,7 @@ func (b *flagBarrier) wait(p *machine.Proc, ep *uint64) {
 		p.WriteWord(b.counter, 0)
 		p.FetchAdd(b.epoch, 1)
 	} else {
-		p.SpinUntilWord(b.epoch, func(v uint64) bool { return v >= target })
+		p.SpinUntilAtLeast(b.epoch, target)
 	}
 	*ep = target
 }
