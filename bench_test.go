@@ -17,6 +17,29 @@ import (
 	"repro/internal/experiments"
 )
 
+// timeOf returns the seconds per episode of algo at procs processors, or
+// false.
+func timeOf(r experiments.BarriersResult, algo string, procs int) (float64, bool) {
+	for i, a := range r.Algos {
+		for j, p := range r.Procs {
+			if a == algo && p == procs {
+				return r.Times[i][j], true
+			}
+		}
+	}
+	return 0, false
+}
+
+// speedupAt returns the speedup at procs processors, or false.
+func speedupAt(r experiments.KernelTableResult, procs int) (float64, bool) {
+	for _, row := range r.Rows {
+		if row.Procs == procs {
+			return row.Speedup, true
+		}
+	}
+	return 0, false
+}
+
 // BenchmarkFig2Latency regenerates Figure 2 (read/write latencies per
 // hierarchy level vs processor count).
 func BenchmarkFig2Latency(b *testing.B) {
@@ -43,7 +66,7 @@ func BenchmarkAllocOverhead(b *testing.B) {
 	var res experiments.AllocOverheadResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.RunAllocOverhead(experiments.KSR1Kind)
+		res, err = experiments.RunAlloc(experiments.DefaultAllocConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +114,7 @@ func BenchmarkFig4Barriers(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			v, _ := res.TimeOf(algo, 32)
+			v, _ := timeOf(res, algo, 32)
 			b.ReportMetric(v*1e6, "sim-us/episode-P32")
 		})
 	}
@@ -112,8 +135,8 @@ func BenchmarkFig5BarriersKSR2(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	tm32, _ := res.TimeOf("tournament(M)", 32)
-	tm64, _ := res.TimeOf("tournament(M)", 64)
+	tm32, _ := timeOf(res, "tournament(M)", 32)
+	tm64, _ := timeOf(res, "tournament(M)", 64)
 	b.ReportMetric(tm32*1e6, "sim-us/tournamentM-P32")
 	b.ReportMetric(tm64*1e6, "sim-us/tournamentM-P64")
 }
@@ -124,13 +147,13 @@ func BenchmarkCompareFabrics(b *testing.B) {
 	var res experiments.CompareResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.RunCompare(16, 25, []int{4, 8, 16})
+		res, err = experiments.RunComparison(experiments.CompareConfig{Cells: 16, Episodes: 25, Procs: []int{4, 8, 16}})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	d, _ := res.Butterfly.TimeOf("dissemination", 16)
-	c, _ := res.Butterfly.TimeOf("counter", 16)
+	d, _ := timeOf(res.Butterfly, "dissemination", 16)
+	c, _ := timeOf(res.Butterfly, "counter", 16)
 	b.ReportMetric(d*1e6, "sim-us/butterfly-dissemination")
 	b.ReportMetric(c*1e6, "sim-us/butterfly-counter")
 }
@@ -172,8 +195,8 @@ func BenchmarkTable1CG(b *testing.B) {
 	if !res.Verified {
 		b.Fatal("CG answers differ across processor counts")
 	}
-	s16, _ := res.SpeedupAt(16)
-	s32, _ := res.SpeedupAt(32)
+	s16, _ := speedupAt(res, 16)
+	s32, _ := speedupAt(res, 32)
 	b.ReportMetric(s16, "speedup-P16")
 	b.ReportMetric(s32, "speedup-P32")
 }
@@ -210,8 +233,8 @@ func BenchmarkTable2IS(b *testing.B) {
 	if !res.Verified {
 		b.Fatal("IS failed to sort")
 	}
-	s30, _ := res.SpeedupAt(30)
-	s32, _ := res.SpeedupAt(32)
+	s30, _ := speedupAt(res, 30)
+	s32, _ := speedupAt(res, 32)
 	b.ReportMetric(s30, "speedup-P30")
 	b.ReportMetric(s32, "speedup-P32")
 }
@@ -243,7 +266,7 @@ func BenchmarkTable4SPOpts(b *testing.B) {
 	var res experiments.SPOptsResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.RunSPOptimizations(cfg, 16)
+		res, err = experiments.RunSPOpts(experiments.SPOptsConfig{SPExperimentConfig: cfg, OptProcs: 16})
 		if err != nil {
 			b.Fatal(err)
 		}

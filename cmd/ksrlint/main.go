@@ -1,6 +1,7 @@
 // ksrlint machine-checks the repro tree's simulation invariants: byte-
 // identical determinism, the zero-overhead hook contract, the
-// sim-process discipline, and canonical/strict JSON on cache-key paths.
+// sim-process discipline, canonical/strict JSON on cache-key paths, and
+// no exported internal/ API that only tests call.
 // See docs/LINT.md for the invariant catalog.
 //
 // Two modes share the same analyzers:
@@ -19,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"go/token"
+	"go/types"
 	"os"
 	"sort"
 	"strings"
@@ -149,6 +151,20 @@ func standalone(patterns []string) int {
 		fmt.Fprintln(os.Stderr, "ksrlint:", err)
 		return 1
 	}
+	// Which exported identifiers nothing references is only knowable
+	// from the whole module; on a partial pattern deadapi stays silent.
+	whole, err := load.CoversModule(pkgs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ksrlint:", err)
+		return 1
+	}
+	var referenced map[types.Object]bool
+	if whole {
+		referenced = map[types.Object]bool{}
+		for _, pkg := range pkgs {
+			analysis.AddReferences(referenced, fset, pkg.Files, pkg.Info)
+		}
+	}
 	store := facts.NewStore()
 	var findings []finding
 	for _, pkg := range pkgs {
@@ -159,11 +175,12 @@ func standalone(patterns []string) int {
 			continue
 		}
 		pass := &analysis.Pass{
-			Fset:      fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Facts:     store,
+			Fset:       fset,
+			Files:      pkg.Files,
+			Pkg:        pkg.Types,
+			TypesInfo:  pkg.Info,
+			Facts:      store,
+			Referenced: referenced,
 		}
 		for _, a := range analyzers() {
 			var diags []analysis.Diagnostic

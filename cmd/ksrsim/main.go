@@ -325,7 +325,7 @@ func cmdLatency(args []string) {
 func cmdAlloc(args []string) {
 	fs := flag.NewFlagSet("alloc", flag.ExitOnError)
 	fs.Parse(args)
-	res, err := experiments.RunAllocOverhead(experiments.KSR1Kind)
+	res, err := experiments.RunAlloc(experiments.DefaultAllocConfig())
 	if err != nil {
 		fail(err)
 	}
@@ -417,7 +417,7 @@ func cmdCompare(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	res, err := experiments.RunCompare(*cells, *episodes, procs)
+	res, err := experiments.RunComparison(experiments.CompareConfig{Cells: *cells, Episodes: *episodes, Procs: procs})
 	if err != nil {
 		fail(err)
 	}
@@ -559,7 +559,7 @@ func cmdSP(args []string) {
 		cfg.Procs = p
 	}
 	if *opts {
-		res, err := experiments.RunSPOptimizations(cfg, *optProcs)
+		res, err := experiments.RunSPOpts(experiments.SPOptsConfig{SPExperimentConfig: cfg, OptProcs: *optProcs})
 		if err != nil {
 			fail(err)
 		}
@@ -768,7 +768,11 @@ func cmdNPB(args []string) {
 		if err != nil {
 			fail(err)
 		}
-		rep = kernels.SPReport(cfg, res, "ksr1", kernels.SPReference(cfg))
+		ref, err := kernels.SPReference(cfg)
+		if err != nil {
+			fail(err)
+		}
+		rep = kernels.SPReport(cfg, res, "ksr1", ref)
 	default:
 		fail(fmt.Errorf("unknown benchmark %q", *bench))
 	}
@@ -795,7 +799,7 @@ func cmdAll(args []string) {
 	emit(lat)
 
 	section("E1b: allocation overheads")
-	alloc, err := experiments.RunAllocOverhead(experiments.KSR1Kind)
+	alloc, err := experiments.RunAlloc(experiments.DefaultAllocConfig())
 	if err != nil {
 		fail(err)
 	}
@@ -829,7 +833,7 @@ func cmdAll(args []string) {
 	fmt.Printf("best: %s\n", b2.Best())
 
 	section("E5: Section 3.2.3 — Symmetry and Butterfly")
-	cmp, err := experiments.RunCompare(16, *episodes, []int{2, 4, 8, 16})
+	cmp, err := experiments.RunComparison(experiments.CompareConfig{Cells: 16, Episodes: *episodes, Procs: []int{2, 4, 8, 16}})
 	if err != nil {
 		fail(err)
 	}
@@ -872,7 +876,7 @@ func cmdAll(args []string) {
 	section("E10: Table 4 — SP optimizations")
 	spoCfg := experiments.DefaultSPExperiment()
 	spoCfg.Nz = 16 // keep the z-plane size that aliases the sub-cache, cheaply
-	spo, err := experiments.RunSPOptimizations(spoCfg, 16)
+	spo, err := experiments.RunSPOpts(experiments.SPOptsConfig{SPExperimentConfig: spoCfg, OptProcs: 16})
 	if err != nil {
 		fail(err)
 	}

@@ -11,6 +11,27 @@ import (
 func newSub() *Cache   { return New(SubCacheConfig(), sim.NewRNG(1)) }
 func newLocal() *Cache { return New(LocalCacheConfig(), sim.NewRNG(1)) }
 
+// lookup reports whether the transfer unit containing a is present,
+// without changing any state.
+func lookup(c *Cache, a memory.Addr) bool {
+	unit := c.unitOf(a)
+	f := c.find(unit)
+	return f != nil && f.has(c.transferIdx(a, unit))
+}
+
+// resident returns how many transfer units are present in total.
+func resident(c *Cache) int {
+	n := 0
+	for si := range c.sets {
+		for fi := range c.sets[si] {
+			if c.sets[si][fi].valid {
+				n += c.sets[si][fi].nset
+			}
+		}
+	}
+	return n
+}
+
 func TestGeometry(t *testing.T) {
 	if got := SubCacheConfig().Sets(); got != 64 {
 		t.Errorf("sub-cache sets = %d, want 64 (256KB / (2-way * 2KB))", got)
@@ -127,11 +148,11 @@ func TestEvictedTransferUnitAddresses(t *testing.T) {
 func TestPurgeTransferUnit(t *testing.T) {
 	c := newSub()
 	c.Touch(0)
-	if !c.Lookup(0) {
+	if !lookup(c, 0) {
 		t.Fatal("lookup after touch failed")
 	}
 	c.PurgeTransferUnit(0)
-	if c.Lookup(0) {
+	if lookup(c, 0) {
 		t.Error("lookup after purge succeeded")
 	}
 	// Frame is still allocated: re-access is only a transfer miss.
@@ -147,10 +168,10 @@ func TestPurgeRangeSpansUnits(t *testing.T) {
 	c.Touch(64)
 	c.Touch(128)
 	c.PurgeRange(0, 128) // first two sub-blocks
-	if c.Lookup(0) || c.Lookup(64) {
+	if lookup(c, 0) || lookup(c, 64) {
 		t.Error("purged sub-blocks still present")
 	}
-	if !c.Lookup(128) {
+	if !lookup(c, 128) {
 		t.Error("sub-block outside purge range lost")
 	}
 }
@@ -181,7 +202,7 @@ func TestCapacityEvictionsUnderWorkingSetPressure(t *testing.T) {
 		t.Fatal("no evictions streaming 2x capacity")
 	}
 	maxResident := int(LocalCacheConfig().SizeBytes / memory.SubPageSize)
-	if got := c.Resident(); got > maxResident {
+	if got := resident(c); got > maxResident {
 		t.Errorf("resident %d transfer units exceeds capacity %d", got, maxResident)
 	}
 }
@@ -194,16 +215,6 @@ func TestStatsAccounting(t *testing.T) {
 	s := c.Stats()
 	if s.Accesses != 3 || s.Hits != 1 || s.TransferMisses != 1 || s.AllocMisses != 1 {
 		t.Errorf("stats = %+v", s)
-	}
-	if s.MissRatio() < 0.66 || s.MissRatio() > 0.67 {
-		t.Errorf("MissRatio = %v, want 2/3", s.MissRatio())
-	}
-	c.ResetStats()
-	if c.Stats().Accesses != 0 {
-		t.Error("ResetStats did not zero counters")
-	}
-	if !c.Lookup(0) {
-		t.Error("ResetStats dropped contents")
 	}
 }
 
@@ -259,7 +270,7 @@ func TestPropertyTouchThenLookup(t *testing.T) {
 		for _, a := range addrs {
 			addr := memory.Addr(a)
 			c.Touch(addr)
-			if !c.Lookup(addr) {
+			if !lookup(c, addr) {
 				return false
 			}
 		}
@@ -276,7 +287,7 @@ func TestPropertyResidencyBounded(t *testing.T) {
 		cap := int(SubCacheConfig().SizeBytes / memory.SubBlockSize)
 		for _, a := range addrs {
 			c.Touch(memory.Addr(a))
-			if c.Resident() > cap {
+			if resident(c) > cap {
 				return false
 			}
 		}
@@ -342,7 +353,7 @@ func TestLRUKeepsHotLineUnderStreaming(t *testing.T) {
 		hot := memory.Addr(0)
 		evictions := 0
 		for i := 1; i < 400; i++ {
-			if !c.Lookup(hot) {
+			if !lookup(c, hot) {
 				evictions++
 			}
 			c.Touch(hot) // keep it MRU

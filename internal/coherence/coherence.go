@@ -312,12 +312,6 @@ func (d *Directory) newCond(sp memory.SubPageID) *sim.Cond {
 // Stats returns cumulative protocol counters.
 func (d *Directory) Stats() Stats { return d.stats }
 
-// ResetStats zeroes the cumulative protocol counters so experiments can
-// measure per-phase deltas (warm-up vs. measured region), symmetric with
-// Cache.ResetStats and Fabric.ResetStats. Directory state (entries,
-// holders, recorded invariant violations) is untouched.
-func (d *Directory) ResetStats() { d.stats = Stats{} }
-
 // Entries returns the number of sub-pages the directory tracks — its
 // occupancy, sampled by the telemetry collector.
 func (d *Directory) Entries() int { return len(d.entries) }
@@ -347,7 +341,6 @@ type dirTx struct {
 	en   *entry
 
 	// A get_sub_page attempt (GetSubPageThen).
-	ok      bool // outcome of the last attempt
 	gspDone func(ok bool, lat sim.Time)
 
 	// A version wait (WaitChangeThen).
@@ -356,8 +349,7 @@ type dirTx struct {
 
 	// A fill (EnsureReadableThen, EnsureWritableThen).
 	fillStart sim.Time // origin of the latency the fill reports
-	fillLat   sim.Time // latency of the last completed fill
-	remote    bool     // the last fill went on the fabric
+	remote    bool     // the fill went on the fabric
 	filled    func(lat sim.Time, remote bool)
 
 	landedFn       func()
@@ -565,15 +557,6 @@ func (d *Directory) checkpoint(sp memory.SubPageID, en *entry) {
 	d.record(d.checkEntry(sp, en))
 }
 
-// Violation returns the first invariant violation recorded in checked
-// mode, or nil.
-func (d *Directory) Violation() error {
-	if d.violation == nil {
-		return nil
-	}
-	return d.violation
-}
-
 // CheckInvariants sweeps every directory entry and validates the
 // protocol invariants, including any violation recorded earlier in
 // checked mode and the retry bound. It returns the first failure in
@@ -646,16 +629,9 @@ func (d *Directory) Version(sp memory.SubPageID) uint64 {
 	return en.version
 }
 
-// WaitChange parks p until sp's version exceeds since. If it already does,
-// it returns immediately: no wakeup can be lost. It is WaitChangeThen run
-// to completion.
-func (d *Directory) WaitChange(p *sim.Process, sp memory.SubPageID, since uint64) {
-	p.Run(func() { d.WaitChangeThen(p, sp, since, nil) })
-}
-
-// WaitChangeThen is the continuation form of WaitChange, for use inside
-// p's Run step: next (nil ends the chain) runs once sp's version exceeds
-// since — at once if it already does.
+// WaitChangeThen parks p, inside p's Run step, until sp's version
+// exceeds since; next (nil ends the chain) runs then — at once if it
+// already does, so no wakeup can be lost.
 //
 //ksr:hotpath
 func (d *Directory) WaitChangeThen(p *sim.Process, sp memory.SubPageID, since uint64, next func()) {
@@ -768,19 +744,10 @@ func (d *Directory) snarf(en *entry) {
 	}
 }
 
-// EnsureReadable makes cell a valid holder of sp, charging p for the ring
-// transaction when one is needed. It returns the latency incurred and
-// whether the access went remote: EnsureReadableThen run to completion.
-func (d *Directory) EnsureReadable(p *sim.Process, cell int, sp memory.SubPageID) (sim.Time, bool) {
-	t := d.tx(p)
-	p.Run(func() { d.EnsureReadableThen(p, cell, sp, nil) })
-	return t.fillLat, t.remote
-}
-
-// EnsureReadableThen is the continuation form of EnsureReadable, for use
-// inside p's Run step: done (nil ends the chain) receives the latency
-// and whether the access went remote once cell holds a valid copy — at
-// once if it already does.
+// EnsureReadableThen makes cell a valid holder of sp, inside p's Run
+// step, charging p for the ring transaction when one is needed: done
+// (nil ends the chain) receives the latency and whether the access went
+// remote once cell holds a valid copy — at once if it already does.
 //
 // A cell with its own prefetch of sp in flight joins it rather than
 // issuing a duplicate fetch. Otherwise it joins an in-flight read by
@@ -946,7 +913,6 @@ func (d *Directory) traceReadFill(cell int, sp memory.SubPageID, lat sim.Time) {
 //
 //ksr:hotpath
 func (t *dirTx) fillDone(lat sim.Time, remote bool) {
-	t.fillLat, t.remote = lat, remote
 	done := t.filled
 	t.filled = nil
 	if done != nil {
@@ -954,20 +920,12 @@ func (t *dirTx) fillDone(lat sim.Time, remote bool) {
 	}
 }
 
-// EnsureWritable gives cell the sole writable copy of sp, charging p for
-// the transaction when needed. Writes by a non-owner wait while the
-// sub-page is atomic elsewhere. It returns latency and whether the access
-// went remote: EnsureWritableThen run to completion.
-func (d *Directory) EnsureWritable(p *sim.Process, cell int, sp memory.SubPageID) (sim.Time, bool) {
-	t := d.tx(p)
-	p.Run(func() { d.EnsureWritableThen(p, cell, sp, nil) })
-	return t.fillLat, t.remote
-}
-
-// EnsureWritableThen is the continuation form of EnsureWritable, for use
-// inside p's Run step: done (nil ends the chain) receives the latency,
-// any time stalled on an atomic hold included, and whether the access
-// went remote once cell holds the sole writable copy.
+// EnsureWritableThen gives cell the sole writable copy of sp, inside p's
+// Run step, charging p for the transaction when needed. Writes by a
+// non-owner wait while the sub-page is atomic elsewhere. done (nil ends
+// the chain) receives the latency, any time stalled on an atomic hold
+// included, and whether the access went remote once cell holds the sole
+// writable copy.
 //
 //ksr:hotpath
 func (d *Directory) EnsureWritableThen(p *sim.Process, cell int, sp memory.SubPageID, done func(lat sim.Time, remote bool)) {
@@ -1045,18 +1003,10 @@ func (d *Directory) traceWriteFill(cell int, sp memory.SubPageID, start sim.Time
 		obs.Arg{Key: "sp", Val: int64(sp)})
 }
 
-// GetSubPage attempts the get_sub_page instruction: acquire sp in atomic
-// state. The request costs a ring transaction whether or not it succeeds
-// (the packet must circulate to discover the atomic state). It reports
-// success and the latency: GetSubPageThen run to completion.
-func (d *Directory) GetSubPage(p *sim.Process, cell int, sp memory.SubPageID) (bool, sim.Time) {
-	t := d.tx(p)
-	p.Run(func() { d.GetSubPageThen(p, cell, sp, nil) })
-	return t.ok, t.lat
-}
-
-// GetSubPageThen is the continuation form of GetSubPage, for use inside
-// p's Run step: done (nil ends the chain) receives the outcome and
+// GetSubPageThen attempts the get_sub_page instruction, inside p's Run
+// step: acquire sp in atomic state. The request costs a ring transaction
+// whether or not it succeeds (the packet must circulate to discover the
+// atomic state). done (nil ends the chain) receives the outcome and
 // latency once the request has circulated.
 //
 //ksr:hotpath
@@ -1079,17 +1029,16 @@ func (d *Directory) GetSubPageThen(p *sim.Process, cell int, sp memory.SubPageID
 //ksr:hotpath
 func (t *dirTx) gspLanded() {
 	d, en, cell, sp := t.d, t.en, t.cell, t.sp
+	ok := true // a re-acquire by the owner is a no-op
 	switch {
 	case en.atomic && en.owner == cell:
-		t.ok = true // re-acquire by owner is a no-op
 	case en.atomic:
-		t.ok = false
+		ok = false
 		d.stats.GSPFailures++
 		if d.Obs != nil {
 			d.traceGSPFail(cell, sp, en.owner)
 		}
 	default:
-		t.ok = true
 		d.invalidateOthers(en, sp, cell)
 		en.holders.set(cell)
 		en.placeholders.clear(cell)
@@ -1103,7 +1052,7 @@ func (t *dirTx) gspLanded() {
 	done := t.gspDone
 	t.gspDone = nil
 	if done != nil {
-		done(t.ok, t.lat)
+		done(ok, t.lat)
 	}
 }
 

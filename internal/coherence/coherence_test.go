@@ -18,6 +18,30 @@ func newDir() (*sim.Engine, *Directory) {
 	return e, d
 }
 
+// ensureReadable is EnsureReadableThen run to completion on p.
+func ensureReadable(d *Directory, p *sim.Process, cell int, sp memory.SubPageID) (lat sim.Time, remote bool) {
+	p.Run(func() { d.EnsureReadableThen(p, cell, sp, func(l sim.Time, r bool) { lat, remote = l, r }) })
+	return lat, remote
+}
+
+// ensureWritable is EnsureWritableThen run to completion on p.
+func ensureWritable(d *Directory, p *sim.Process, cell int, sp memory.SubPageID) (lat sim.Time, remote bool) {
+	p.Run(func() { d.EnsureWritableThen(p, cell, sp, func(l sim.Time, r bool) { lat, remote = l, r }) })
+	return lat, remote
+}
+
+// waitChange is WaitChangeThen run to completion on p.
+func waitChange(d *Directory, p *sim.Process, sp memory.SubPageID, since uint64) {
+	p.Run(func() { d.WaitChangeThen(p, sp, since, nil) })
+}
+
+// getSubPage is GetSubPageThen run to completion on p: one get_sub_page
+// attempt, reporting success and its latency.
+func getSubPage(d *Directory, p *sim.Process, cell int, sp memory.SubPageID) (ok bool, lat sim.Time) {
+	p.Run(func() { d.GetSubPageThen(p, cell, sp, func(o bool, l sim.Time) { ok, lat = o, l }) })
+	return ok, lat
+}
+
 // inProc runs body inside a single simulated process and finishes the run.
 func inProc(t *testing.T, e *sim.Engine, body func(p *sim.Process)) {
 	t.Helper()
@@ -30,11 +54,11 @@ func inProc(t *testing.T, e *sim.Engine, body func(p *sim.Process)) {
 func TestColdReadFetchesRemotely(t *testing.T) {
 	e, d := newDir()
 	inProc(t, e, func(p *sim.Process) {
-		lat, remote := d.EnsureReadable(p, 0, 0)
+		lat, remote := ensureReadable(d, p, 0, 0)
 		if !remote || lat != remoteLat {
 			t.Errorf("cold read: lat=%v remote=%v, want %v true", lat, remote, remoteLat)
 		}
-		lat, remote = d.EnsureReadable(p, 0, 0)
+		lat, remote = ensureReadable(d, p, 0, 0)
 		if remote || lat != 0 {
 			t.Errorf("warm read: lat=%v remote=%v, want 0 false", lat, remote)
 		}
@@ -43,7 +67,7 @@ func TestColdReadFetchesRemotely(t *testing.T) {
 		if d.StateOf(0) != Exclusive {
 			t.Errorf("state after sole read = %v, want exclusive", d.StateOf(0))
 		}
-		d.EnsureReadable(p, 1, 0)
+		ensureReadable(d, p, 1, 0)
 	})
 	if d.StateOf(0) != Shared {
 		t.Errorf("state after second reader = %v, want shared", d.StateOf(0))
@@ -55,13 +79,13 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	invalidated := map[int]bool{}
 	d.OnInvalidate = func(cell int, sp memory.SubPageID) { invalidated[cell] = true }
 	inProc(t, e, func(p *sim.Process) {
-		d.EnsureReadable(p, 0, 0)
-		d.EnsureReadable(p, 1, 0)
-		d.EnsureReadable(p, 2, 0)
+		ensureReadable(d, p, 0, 0)
+		ensureReadable(d, p, 1, 0)
+		ensureReadable(d, p, 2, 0)
 		if d.HolderCount(0) != 3 {
 			t.Fatalf("holders = %d, want 3", d.HolderCount(0))
 		}
-		_, remote := d.EnsureWritable(p, 0, 0)
+		_, remote := ensureWritable(d, p, 0, 0)
 		if !remote {
 			t.Error("upgrade from shared should be a remote transaction")
 		}
@@ -83,8 +107,8 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 func TestRepeatedWriteByOwnerIsFree(t *testing.T) {
 	e, d := newDir()
 	inProc(t, e, func(p *sim.Process) {
-		d.EnsureWritable(p, 0, 0)
-		lat, remote := d.EnsureWritable(p, 0, 0)
+		ensureWritable(d, p, 0, 0)
+		lat, remote := ensureWritable(d, p, 0, 0)
 		if remote || lat != 0 {
 			t.Errorf("owner re-write: lat=%v remote=%v, want free", lat, remote)
 		}
@@ -97,13 +121,13 @@ func TestReadSnarfingRevalidatesPlaceholders(t *testing.T) {
 	e, d := newDir()
 	inProc(t, e, func(p *sim.Process) {
 		for c := 1; c <= 4; c++ {
-			d.EnsureReadable(p, c, 0)
+			ensureReadable(d, p, c, 0)
 		}
-		d.EnsureWritable(p, 0, 0)
+		ensureWritable(d, p, 0, 0)
 		if d.HolderCount(0) != 1 {
 			t.Fatalf("after write holders = %d", d.HolderCount(0))
 		}
-		d.EnsureReadable(p, 1, 0)
+		ensureReadable(d, p, 1, 0)
 	})
 	if d.HolderCount(0) != 5 {
 		t.Errorf("after snarfing read holders = %d, want 5 (writer + 4 readers)", d.HolderCount(0))
@@ -116,7 +140,7 @@ func TestReadSnarfingRevalidatesPlaceholders(t *testing.T) {
 func TestGetSubPageAtomicSemantics(t *testing.T) {
 	e, d := newDir()
 	inProc(t, e, func(p *sim.Process) {
-		ok, lat := d.GetSubPage(p, 0, 0)
+		ok, lat := getSubPage(d, p, 0, 0)
 		if !ok || lat != remoteLat {
 			t.Errorf("first gsp: ok=%v lat=%v", ok, lat)
 		}
@@ -124,12 +148,12 @@ func TestGetSubPageAtomicSemantics(t *testing.T) {
 			t.Errorf("state = %v, want atomic", d.StateOf(0))
 		}
 		// Second cell fails, but still pays the ring transit.
-		ok, lat = d.GetSubPage(p, 1, 0)
+		ok, lat = getSubPage(d, p, 1, 0)
 		if ok || lat != remoteLat {
 			t.Errorf("contending gsp: ok=%v lat=%v, want failure at full latency", ok, lat)
 		}
 		// Re-acquire by owner succeeds.
-		ok, _ = d.GetSubPage(p, 0, 0)
+		ok, _ = getSubPage(d, p, 0, 0)
 		if !ok {
 			t.Error("owner re-acquire failed")
 		}
@@ -137,7 +161,7 @@ func TestGetSubPageAtomicSemantics(t *testing.T) {
 		if d.StateOf(0) == Atomic {
 			t.Error("still atomic after release")
 		}
-		ok, _ = d.GetSubPage(p, 1, 0)
+		ok, _ = getSubPage(d, p, 1, 0)
 		if !ok {
 			t.Error("gsp after release failed")
 		}
@@ -169,13 +193,13 @@ func TestWriterBlocksWhileAtomic(t *testing.T) {
 	e, d := newDir()
 	var writeDone sim.Time
 	e.Spawn("locker", func(p *sim.Process) {
-		d.GetSubPage(p, 0, 0)
+		getSubPage(d, p, 0, 0)
 		p.Sleep(100000)
 		d.ReleaseSubPage(p, 0, 0)
 	})
 	e.Spawn("writer", func(p *sim.Process) {
 		p.Sleep(1000) // let the locker win
-		d.EnsureWritable(p, 1, 0)
+		ensureWritable(d, p, 1, 0)
 		writeDone = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -191,15 +215,15 @@ func TestVersionBumpsAndWaitChange(t *testing.T) {
 	var sawVersion uint64
 	var wokenAt sim.Time
 	e.Spawn("spinner", func(p *sim.Process) {
-		d.EnsureReadable(p, 0, 0)
+		ensureReadable(d, p, 0, 0)
 		v := d.Version(0)
-		d.WaitChange(p, 0, v)
+		waitChange(d, p, 0, v)
 		wokenAt = p.Now()
 		sawVersion = d.Version(0)
 	})
 	e.Spawn("writer", func(p *sim.Process) {
 		p.Sleep(50000)
-		d.EnsureWritable(p, 1, 0)
+		ensureWritable(d, p, 1, 0)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -213,18 +237,18 @@ func TestVersionBumpsAndWaitChange(t *testing.T) {
 }
 
 func TestWaitChangeNoLostWakeup(t *testing.T) {
-	// If the change already happened, WaitChange returns immediately.
+	// If the change already happened, waitChange returns immediately.
 	e, d := newDir()
 	completed := false
 	inProc(t, e, func(p *sim.Process) {
-		d.EnsureReadable(p, 0, 0)
+		ensureReadable(d, p, 0, 0)
 		v := d.Version(0)
-		d.EnsureWritable(p, 1, 0) // bumps version
-		d.WaitChange(p, 0, v)     // must not block
+		ensureWritable(d, p, 1, 0) // bumps version
+		waitChange(d, p, 0, v)     // must not block
 		completed = true
 	})
 	if !completed {
-		t.Error("WaitChange blocked despite version already advanced")
+		t.Error("waitChange blocked despite version already advanced")
 	}
 }
 
@@ -232,9 +256,9 @@ func TestPoststoreFillsPlaceholdersAndShares(t *testing.T) {
 	e, d := newDir()
 	inProc(t, e, func(p *sim.Process) {
 		// Readers 1, 2 share; writer 0 invalidates them; 0 poststores.
-		d.EnsureReadable(p, 1, 0)
-		d.EnsureReadable(p, 2, 0)
-		d.EnsureWritable(p, 0, 0)
+		ensureReadable(d, p, 1, 0)
+		ensureReadable(d, p, 2, 0)
+		ensureWritable(d, p, 0, 0)
 		psDone := false
 		d.Poststore(0, 0, func() { psDone = true })
 		if psDone {
@@ -260,14 +284,14 @@ func TestPoststoreWakesSpinners(t *testing.T) {
 	e, d := newDir()
 	var wokenAt sim.Time
 	e.Spawn("spinner", func(p *sim.Process) {
-		d.EnsureReadable(p, 1, 0)
+		ensureReadable(d, p, 1, 0)
 		v := d.Version(0)
-		d.WaitChange(p, 0, v)
+		waitChange(d, p, 0, v)
 		wokenAt = p.Now()
 	})
 	e.Spawn("writer", func(p *sim.Process) {
 		p.Sleep(1000)
-		d.EnsureWritable(p, 0, 0) // invalidation also wakes; re-arm below
+		ensureWritable(d, p, 0, 0) // invalidation also wakes; re-arm below
 		p.Sleep(1000)
 		d.Poststore(0, 0, nil)
 	})
@@ -284,7 +308,7 @@ func TestPrefetchAvoidsSecondFetch(t *testing.T) {
 	inProc(t, e, func(p *sim.Process) {
 		d.Prefetch(0, 0, nil)
 		p.Sleep(10 * remoteLat) // let it complete
-		lat, remote := d.EnsureReadable(p, 0, 0)
+		lat, remote := ensureReadable(d, p, 0, 0)
 		if remote || lat != 0 {
 			t.Errorf("read after completed prefetch: lat=%v remote=%v, want free", lat, remote)
 		}
@@ -301,7 +325,7 @@ func TestReadJoinsInFlightPrefetch(t *testing.T) {
 	inProc(t, e, func(p *sim.Process) {
 		d.Prefetch(0, 0, nil)
 		// Access immediately: must wait for the prefetch, not refetch.
-		lat, remote = d.EnsureReadable(p, 0, 0)
+		lat, remote = ensureReadable(d, p, 0, 0)
 	})
 	if !remote {
 		t.Error("joining an in-flight prefetch should report remote timing")
@@ -317,13 +341,13 @@ func TestReadJoinsInFlightPrefetch(t *testing.T) {
 func TestDropDissolvesOwnershipButKeepsData(t *testing.T) {
 	e, d := newDir()
 	inProc(t, e, func(p *sim.Process) {
-		d.EnsureWritable(p, 0, 0)
+		ensureWritable(d, p, 0, 0)
 		d.Drop(0, 0)
 		if d.StateOf(0) != Invalid {
 			t.Errorf("state after dropping sole copy = %v, want invalid", d.StateOf(0))
 		}
 		// Refetch works (served by the migrated copy's stand-in).
-		lat, remote := d.EnsureReadable(p, 1, 0)
+		lat, remote := ensureReadable(d, p, 1, 0)
 		if !remote || lat != remoteLat {
 			t.Errorf("refetch after drop: lat=%v remote=%v", lat, remote)
 		}
@@ -333,7 +357,7 @@ func TestDropDissolvesOwnershipButKeepsData(t *testing.T) {
 func TestDropNeverEvictsAtomicOwner(t *testing.T) {
 	e, d := newDir()
 	inProc(t, e, func(p *sim.Process) {
-		d.GetSubPage(p, 0, 0)
+		getSubPage(d, p, 0, 0)
 		d.Drop(0, 0) // must be ignored
 		if d.StateOf(0) != Atomic || !d.HasValid(0, 0) {
 			t.Error("capacity eviction removed an atomic-held sub-page")
@@ -348,8 +372,8 @@ func TestFalseSharingPingPong(t *testing.T) {
 	e, d := newDir()
 	inProc(t, e, func(p *sim.Process) {
 		for i := 0; i < 5; i++ {
-			d.EnsureWritable(p, 0, 0)
-			d.EnsureWritable(p, 1, 0)
+			ensureWritable(d, p, 0, 0)
+			ensureWritable(d, p, 1, 0)
 		}
 	})
 	if got := d.Stats().WriteFetches; got != 10 {
@@ -364,10 +388,10 @@ func TestDistinctSubPagesNoInterference(t *testing.T) {
 	inProc(t, e, func(p *sim.Process) {
 		spA := memory.Addr(0).SubPage()
 		spB := memory.Addr(memory.SubPageSize).SubPage()
-		d.EnsureWritable(p, 0, spA)
-		d.EnsureWritable(p, 1, spB)
-		d.EnsureWritable(p, 0, spA)
-		d.EnsureWritable(p, 1, spB)
+		ensureWritable(d, p, 0, spA)
+		ensureWritable(d, p, 1, spB)
+		ensureWritable(d, p, 0, spA)
+		ensureWritable(d, p, 1, spB)
 	})
 	if got := d.Stats().WriteFetches; got != 2 {
 		t.Errorf("WriteFetches = %d, want 2 (no ping-pong across sub-pages)", got)
@@ -424,9 +448,9 @@ func TestPropertyHolderInvariants(t *testing.T) {
 				cell := int(op) % 8
 				sp := memory.SubPageID(op / 8 % 4)
 				if op%3 == 0 {
-					d.EnsureWritable(p, cell, sp)
+					ensureWritable(d, p, cell, sp)
 				} else {
-					d.EnsureReadable(p, cell, sp)
+					ensureReadable(d, p, cell, sp)
 				}
 			}
 			for sp := memory.SubPageID(0); sp < 4; sp++ {
@@ -470,7 +494,7 @@ func TestConcurrentReadersCombineIntoOneFetch(t *testing.T) {
 	for c := 0; c < 16; c++ {
 		c := c
 		e.Spawn("reader", func(p *sim.Process) {
-			d.EnsureReadable(p, c, 0)
+			ensureReadable(d, p, c, 0)
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -490,20 +514,20 @@ func TestJoinerRefetchesAfterRacingInvalidation(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDirectory(e, fabric.NewRing(e, fabric.DefaultRingConfig(32)))
 	e.Spawn("reader0", func(p *sim.Process) {
-		d.EnsureReadable(p, 0, 0)
+		ensureReadable(d, p, 0, 0)
 	})
 	e.Spawn("joiner", func(p *sim.Process) {
 		p.Sleep(10)
-		d.EnsureReadable(p, 1, 0)
+		ensureReadable(d, p, 1, 0)
 		if !d.HasValid(1, 0) {
 			// A still-later writer may have invalidated us again; what
-			// matters is that EnsureReadable returned.
+			// matters is that ensureReadable returned.
 			t.Log("joiner invalidated after return (ok)")
 		}
 	})
 	e.Spawn("writer", func(p *sim.Process) {
 		p.Sleep(20)
-		d.EnsureWritable(p, 2, 0)
+		ensureWritable(d, p, 2, 0)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -528,11 +552,11 @@ func TestIsWritableTransitions(t *testing.T) {
 		if d.IsWritable(0, 0) {
 			t.Error("unmapped sub-page writable")
 		}
-		d.EnsureWritable(p, 0, 0)
+		ensureWritable(d, p, 0, 0)
 		if !d.IsWritable(0, 0) {
 			t.Error("owner not writable")
 		}
-		d.EnsureReadable(p, 1, 0)
+		ensureReadable(d, p, 1, 0)
 		if d.IsWritable(0, 0) {
 			t.Error("still writable with a second sharer")
 		}
@@ -546,14 +570,14 @@ func TestCrossDomainTargetSelection(t *testing.T) {
 	inProc(t, e, func(p *sim.Process) {
 		// Holders on both leaves; a writer on leaf 0 must route through a
 		// leaf-1 holder.
-		d.EnsureReadable(p, 1, 0)
-		d.EnsureReadable(p, 40, 0)
+		ensureReadable(d, p, 1, 0)
+		ensureReadable(d, p, 40, 0)
 		en := d.get(0)
 		if x := d.crossDomainTarget(0, en.holders); x != 40 {
 			t.Errorf("crossDomainTarget = %d, want 40", x)
 		}
 		// All holders local: no cross-domain routing.
-		d.EnsureWritable(p, 1, 0)
+		ensureWritable(d, p, 1, 0)
 		if x := d.crossDomainTarget(0, d.get(0).holders); x != -1 {
 			t.Errorf("crossDomainTarget = %d, want -1 for local-only", x)
 		}
@@ -571,7 +595,7 @@ func TestSnarfingDisabledIssuesSeparateFetches(t *testing.T) {
 	d.DisableSnarfing = true
 	for c := 0; c < 8; c++ {
 		c := c
-		e.Spawn("r", func(p *sim.Process) { d.EnsureReadable(p, c, 0) })
+		e.Spawn("r", func(p *sim.Process) { ensureReadable(d, p, c, 0) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -600,7 +624,7 @@ func TestNACKRetryCostsTransitAndBackoff(t *testing.T) {
 	d := NewDirectory(e, fabric.NewRing(e, fabric.DefaultRingConfig(32)))
 	d.Faults = faults.New(faults.Config{NACKRate: 1.0, MaxRetries: 3}, 1)
 	inProc(t, e, func(p *sim.Process) {
-		lat, remote := d.EnsureReadable(p, 0, 0)
+		lat, remote := ensureReadable(d, p, 0, 0)
 		if !remote {
 			t.Fatal("cold read not remote")
 		}
@@ -629,9 +653,9 @@ func TestNACKRetryAllPathsAndDeterminism(t *testing.T) {
 		e.Spawn("a", func(p *sim.Process) {
 			for k := 0; k < 20; k++ {
 				sp := memory.SubPageID(k % 4)
-				d.EnsureReadable(p, 0, sp)
-				d.EnsureWritable(p, 0, sp)
-				if ok, _ := d.GetSubPage(p, 0, sp); ok {
+				ensureReadable(d, p, 0, sp)
+				ensureWritable(d, p, 0, sp)
+				if ok, _ := getSubPage(d, p, 0, sp); ok {
 					d.ReleaseSubPage(p, 0, sp)
 				}
 				d.Poststore(0, sp, nil)
@@ -642,8 +666,8 @@ func TestNACKRetryAllPathsAndDeterminism(t *testing.T) {
 		e.Spawn("b", func(p *sim.Process) {
 			for k := 0; k < 20; k++ {
 				sp := memory.SubPageID(k % 4)
-				d.EnsureReadable(p, 1, sp)
-				d.EnsureWritable(p, 1, sp)
+				ensureReadable(d, p, 1, sp)
+				ensureWritable(d, p, 1, sp)
 			}
 		})
 		if err := e.Run(); err != nil {
@@ -670,8 +694,8 @@ func TestNACKRetryAllPathsAndDeterminism(t *testing.T) {
 func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 	e, d := newDir()
 	inProc(t, e, func(p *sim.Process) {
-		d.EnsureWritable(p, 0, 0)
-		d.EnsureReadable(p, 1, 1)
+		ensureWritable(d, p, 0, 0)
+		ensureReadable(d, p, 1, 1)
 	})
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatalf("healthy directory flagged: %v", err)
@@ -710,12 +734,12 @@ func TestCheckedModeRecordsViolationAtMutation(t *testing.T) {
 	e, d := newDir()
 	d.Checked = true
 	inProc(t, e, func(p *sim.Process) {
-		d.EnsureReadable(p, 0, 0)
+		ensureReadable(d, p, 0, 0)
 		// Sabotage the entry, then trigger a checked mutation on it.
 		d.get(0).placeholders.set(0)
 		d.Drop(2, 0) // touches the entry; checkpoint must fire
 	})
-	if d.Violation() == nil {
+	if d.violation == nil {
 		t.Fatal("checked mode missed an invariant violation")
 	}
 	if err := d.CheckInvariants(); err == nil {
@@ -731,9 +755,9 @@ func TestCheckedModeCleanOnHealthyWorkload(t *testing.T) {
 		e.Spawn("w", func(p *sim.Process) {
 			for k := 0; k < 10; k++ {
 				sp := memory.SubPageID(k % 3)
-				d.EnsureReadable(p, c, sp)
-				d.EnsureWritable(p, c, sp)
-				if ok, _ := d.GetSubPage(p, c, sp); ok {
+				ensureReadable(d, p, c, sp)
+				ensureWritable(d, p, c, sp)
+				if ok, _ := getSubPage(d, p, c, sp); ok {
 					d.ReleaseSubPage(p, c, sp)
 				}
 			}

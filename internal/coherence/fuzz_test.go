@@ -18,7 +18,7 @@ import (
 // The op stream is interpreted byte-by-byte, round-robin across cells,
 // so any corpus input is a valid schedule. Atomic acquisitions are
 // released in the same step, which keeps every blocking path
-// (EnsureWritable stalled on an atomic hold, read joins, write
+// (a write fill stalled on an atomic hold, read joins, write
 // serialization) finite.
 func FuzzDirectoryInvariants(f *testing.F) {
 	f.Add(uint64(1), []byte{0x00, 0x11, 0x22, 0x33, 0x44, 0x55})
@@ -54,11 +54,11 @@ func FuzzDirectoryInvariants(f *testing.F) {
 					sp := memory.SubPageID(b >> 3 % 8)
 					switch b % 6 {
 					case 0:
-						d.EnsureReadable(p, c, sp)
+						ensureReadable(d, p, c, sp)
 					case 1:
-						d.EnsureWritable(p, c, sp)
+						ensureWritable(d, p, c, sp)
 					case 2:
-						if ok, _ := d.GetSubPage(p, c, sp); ok {
+						if ok, _ := getSubPage(d, p, c, sp); ok {
 							d.ReleaseSubPage(p, c, sp)
 						}
 					case 3:

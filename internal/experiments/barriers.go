@@ -71,26 +71,6 @@ func (r BarriersResult) Best() string {
 	return best
 }
 
-// TimeOf returns the seconds-per-episode for one algorithm at one
-// processor count, or false.
-func (r BarriersResult) TimeOf(algo string, procs int) (float64, bool) {
-	ai := -1
-	for i, a := range r.Algos {
-		if a == algo {
-			ai = i
-		}
-	}
-	if ai < 0 {
-		return 0, false
-	}
-	for j, p := range r.Procs {
-		if p == procs {
-			return r.Times[ai][j], true
-		}
-	}
-	return 0, false
-}
-
 // RunBarriers measures every selected algorithm over the processor sweep.
 func RunBarriers(cfg BarriersConfig) (BarriersResult, error) {
 	procs := cfg.Procs
@@ -176,14 +156,6 @@ func (r CompareResult) String() string {
 	return r.Symmetry.String() + "\n" + r.Butterfly.String()
 }
 
-// RunCompare reproduces the Symmetry and Butterfly comparison. The
-// butterfly cannot run the (M) global-flag variants meaningfully (no
-// coherent caches: the paper notes the method "cannot be used"), so they
-// are included but expected to perform poorly there.
-func RunCompare(cells int, episodes int, procs []int) (CompareResult, error) {
-	return RunComparison(CompareConfig{Cells: cells, Episodes: episodes, Procs: procs})
-}
-
 // CompareConfig parameterizes the Section 3.2.3 comparison (the form job
 // specs submit).
 type CompareConfig struct {
@@ -199,7 +171,11 @@ func DefaultCompareConfig() CompareConfig {
 	return CompareConfig{Cells: 16, Episodes: 50, Procs: []int{2, 4, 8, 16}}
 }
 
-// RunComparison runs the barrier suite on the Symmetry and the Butterfly.
+// RunComparison reproduces the Symmetry and Butterfly comparison: the
+// barrier suite on both machines. The butterfly cannot run the (M)
+// global-flag variants meaningfully (no coherent caches: the paper notes
+// the method "cannot be used"), so they are included but expected to
+// perform poorly there.
 func RunComparison(cfg CompareConfig) (CompareResult, error) {
 	var res CompareResult
 	var err error

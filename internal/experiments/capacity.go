@@ -61,6 +61,12 @@ func (r CapacityResult) String() string {
 // superunitary effect.
 func RunCapacityEffect(cfg CapacityConfig) (CapacityResult, error) {
 	var res CapacityResult
+	if cfg.TotalBytes < 1 {
+		return res, fmt.Errorf("experiments: capacity needs TotalBytes of at least 1 (got %d)", cfg.TotalBytes)
+	}
+	if err := checkProcs(cfg.Procs); err != nil {
+		return res, err
+	}
 	points := make([]metrics.Point, len(cfg.Procs))
 	res.Evictions = make([]uint64, len(cfg.Procs))
 	err := forEachObs(cfg.Obs, len(cfg.Procs), func(j int) error {

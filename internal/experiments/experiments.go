@@ -63,12 +63,12 @@ func NewMachine(kind MachineKind, cells int) (*machine.Machine, error) {
 }
 
 // obsSession is the observability session sweep machines attach to. Nil
-// (the default) means unobserved: NewMachineObs then behaves exactly
-// like NewMachine.
+// (the default) means unobserved: NewMachineObsIn(nil, ...) then behaves
+// exactly like NewMachine.
 var obsSession atomic.Pointer[obs.Session]
 
 // SetSession installs the observability session that every subsequent
-// labeled machine (NewMachineObs / newMachineObs) records into. Pass nil
+// labeled machine (NewMachineObsIn / newMachineObs) records into. Pass nil
 // to detach. The CLI sets this once before running a command; sweeps may
 // then run points on any number of workers — each point gets its own
 // recorder keyed by a deterministic label, so merged trace output does
@@ -102,17 +102,12 @@ func sessionOr(s *obs.Session) *obs.Session {
 	return ObsSession()
 }
 
-// NewMachineObs is NewMachine plus observability: when a session is
+// NewMachineObsIn is NewMachine plus observability: when a session is
 // installed, the machine records under the given label (one recorder per
-// label; labels must be unique per machine within a run). Without a
-// session it is identical to NewMachine.
-func NewMachineObs(kind MachineKind, cells int, label string) (*machine.Machine, error) {
-	return NewMachineObsIn(nil, kind, cells, label)
-}
-
-// NewMachineObsIn is NewMachineObs recording into an explicit session
-// (nil falls back to the process-global one). Long-running servers use it
-// to keep concurrent jobs' recorders apart.
+// label; labels must be unique per machine within a run). s is the
+// session to record into; nil falls back to the process-global one, and
+// without either it is identical to NewMachine. Long-running servers
+// pass their own session to keep concurrent jobs' recorders apart.
 func NewMachineObsIn(s *obs.Session, kind MachineKind, cells int, label string) (*machine.Machine, error) {
 	cfg, err := ConfigFor(kind, cells)
 	if err != nil {
@@ -145,4 +140,16 @@ func DefaultProcSweep(cells int) []int {
 		}
 	}
 	return out
+}
+
+// checkProcs rejects processor counts below one, which would size
+// per-processor state negatively, or divide by zero, inside a sweep
+// worker before the machine's own check runs.
+func checkProcs(procs []int) error {
+	for _, p := range procs {
+		if p < 1 {
+			return fmt.Errorf("experiments: processor counts must be at least 1 (got %d)", p)
+		}
+	}
+	return nil
 }

@@ -5,6 +5,29 @@ import (
 	"testing"
 )
 
+// timeOf returns the seconds per episode of algo at procs processors, or
+// false.
+func timeOf(r BarriersResult, algo string, procs int) (float64, bool) {
+	for i, a := range r.Algos {
+		for j, p := range r.Procs {
+			if a == algo && p == procs {
+				return r.Times[i][j], true
+			}
+		}
+	}
+	return 0, false
+}
+
+// speedupAt returns the speedup at procs processors, or false.
+func speedupAt(r KernelTableResult, procs int) (float64, bool) {
+	for _, row := range r.Rows {
+		if row.Procs == procs {
+			return row.Speedup, true
+		}
+	}
+	return 0, false
+}
+
 func TestNewMachineKinds(t *testing.T) {
 	for _, k := range []MachineKind{KSR1Kind, KSR2Kind, SymmetryKind, ButterflyKind} {
 		m, err := NewMachine(k, 4)
@@ -78,7 +101,7 @@ func TestLatencyShape(t *testing.T) {
 }
 
 func TestAllocOverheadRatios(t *testing.T) {
-	res, err := RunAllocOverhead(KSR1Kind)
+	res, err := RunAlloc(DefaultAllocConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +155,7 @@ func TestBarriersKSR1Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	at32 := func(name string) float64 {
-		v, ok := res.TimeOf(name, 32)
+		v, ok := timeOf(res, name, 32)
 		if !ok {
 			t.Fatalf("missing %s at 32", name)
 		}
@@ -167,7 +190,7 @@ func TestBarriersKSR1Shape(t *testing.T) {
 		t.Errorf("system/tree(M) ratio = %.2f, want near 1", ratio)
 	}
 	// tournament(M) is nearly flat: 32-proc time within 3x of 8-proc.
-	tm8, _ := res.TimeOf("tournament(M)", 8)
+	tm8, _ := timeOf(res, "tournament(M)", 8)
 	if tournamentM > 3*tm8 {
 		t.Errorf("tournament(M) not flat: %.2g at 8 vs %.2g at 32", tm8, tournamentM)
 	}
@@ -203,15 +226,15 @@ func TestBarriersKSR2TwoLevelJump(t *testing.T) {
 }
 
 func TestCompareArchitectures(t *testing.T) {
-	res, err := RunCompare(16, 6, []int{4, 16})
+	res, err := RunComparison(CompareConfig{Cells: 16, Episodes: 6, Procs: []int{4, 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// On the Butterfly (parallel paths, no caches): dissemination beats
 	// the counter badly, and beats MCS (fewest rounds wins).
-	dis, _ := res.Butterfly.TimeOf("dissemination", 16)
-	ctr, _ := res.Butterfly.TimeOf("counter", 16)
-	mcs, _ := res.Butterfly.TimeOf("mcs", 16)
+	dis, _ := timeOf(res.Butterfly, "dissemination", 16)
+	ctr, _ := timeOf(res.Butterfly, "counter", 16)
+	mcs, _ := timeOf(res.Butterfly, "mcs", 16)
 	if dis >= ctr {
 		t.Errorf("butterfly: dissemination %.3g not better than counter %.3g", dis, ctr)
 	}
@@ -220,8 +243,8 @@ func TestCompareArchitectures(t *testing.T) {
 	}
 	// On the Symmetry (one bus): dissemination's O(P log P) messages are
 	// all serialized, so it loses its advantage over the counter.
-	disS, _ := res.Symmetry.TimeOf("dissemination", 16)
-	ctrS, _ := res.Symmetry.TimeOf("counter", 16)
+	disS, _ := timeOf(res.Symmetry, "dissemination", 16)
+	ctrS, _ := timeOf(res.Symmetry, "counter", 16)
 	if disS < ctrS/2 {
 		t.Errorf("symmetry: dissemination %.3g should not dominate counter %.3g on a bus", disS, ctrS)
 	}
@@ -254,8 +277,8 @@ func TestCGExperimentShape(t *testing.T) {
 	if !res.Verified {
 		t.Error("CG answers differ across processor counts")
 	}
-	s16, _ := res.SpeedupAt(16)
-	s32, _ := res.SpeedupAt(32)
+	s16, _ := speedupAt(res, 16)
+	s32, _ := speedupAt(res, 32)
 	if s16 < 6 {
 		t.Errorf("CG speedup at 16 = %.2f, want good scaling", s16)
 	}
@@ -313,7 +336,7 @@ func TestSPExperimentShape(t *testing.T) {
 func TestSPOptimizationLadder(t *testing.T) {
 	cfg := DefaultSPExperiment()
 	cfg.Nx, cfg.Ny, cfg.Nz, cfg.Iterations = 64, 64, 16, 1
-	res, err := RunSPOptimizations(cfg, 8)
+	res, err := RunSPOpts(SPOptsConfig{SPExperimentConfig: cfg, OptProcs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,5 +352,37 @@ func TestSPOptimizationLadder(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "Table 4") {
 		t.Error("String() missing title")
+	}
+}
+
+// TestMalformedConfigsReturnErrors runs each config that used to panic
+// inside a sweep worker through the registry, as the daemon does: every
+// one must come back as an error naming the bad field.
+func TestMalformedConfigsReturnErrors(t *testing.T) {
+	for _, tc := range []struct {
+		experiment, config, want string
+	}{
+		{"locks", `{"OpsPerProc":-1}`, "OpsPerProc"},
+		{"locks", `{"Procs":[-2]}`, "processor counts"},
+		{"saturation", `{"Accesses":0}`, "Accesses"},
+		{"saturation", `{"Accesses":-5}`, "Accesses"},
+		{"capacity", `{"TotalBytes":0}`, "TotalBytes"},
+		{"capacity", `{"TotalBytes":-1}`, "TotalBytes"},
+		{"capacity", `{"Procs":[0]}`, "processor counts"},
+		{"sp", `{"Nx":0}`, "bad SP config"},
+		{"bt", `{"Nx":2}`, "bad BT config"},
+		{"bt", `{"Nz":1}`, "bad BT config"},
+	} {
+		r, ok := LookupExperiment(tc.experiment)
+		if !ok {
+			t.Fatalf("no experiment %q", tc.experiment)
+		}
+		cfg, err := r.DecodeConfig([]byte(tc.config))
+		if err != nil {
+			t.Fatalf("%s %s: decode: %v", tc.experiment, tc.config, err)
+		}
+		if _, err := r.Run(nil, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %s: err = %v, want an error mentioning %q", tc.experiment, tc.config, err, tc.want)
+		}
 	}
 }

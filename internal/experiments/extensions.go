@@ -170,6 +170,9 @@ func (r SaturationResult) String() string {
 // RunSaturation performs the sweep. Each processor owns a private remote
 // target region (all distinct sub-pages: no sharing, pure bandwidth).
 func RunSaturation(cfg SaturationConfig) (SaturationResult, error) {
+	if cfg.Procs < 1 || cfg.Accesses < 1 {
+		return SaturationResult{}, fmt.Errorf("experiments: saturation needs Procs and Accesses of at least 1 (got %d and %d)", cfg.Procs, cfg.Accesses)
+	}
 	res := SaturationResult{Procs: cfg.Procs}
 	res.Points = make([]SaturationPoint, len(cfg.GapCycles))
 	err := forEachObs(cfg.Obs, len(cfg.GapCycles), func(gi int) error {

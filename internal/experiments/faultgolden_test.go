@@ -233,12 +233,12 @@ func runRangeProgram(t *testing.T, fc faultCase, m *machine.Machine) {
 // after a poll.
 func runSpinProgram(t *testing.T, fc faultCase, m *machine.Machine) {
 	t.Helper()
-	cfg := m.Config()
+	coherent := m.Directory() != nil
 	workers := fc.procs - 1
 	var barriers []ksync.Barrier
 	episodes := 2
 	names := []string{"counter", "mcs", "tournament(M)"}
-	if !cfg.Coherent {
+	if !coherent {
 		names, episodes = names[:1], 4
 	}
 	for _, name := range names {
@@ -251,7 +251,7 @@ func runSpinProgram(t *testing.T, fc faultCase, m *machine.Machine) {
 	// Cell 0 raises the flag after each barrier kind on the ring and
 	// after each episode on the butterfly.
 	raises, lastRaise := uint64(0), uint64(len(barriers))
-	if !cfg.Coherent {
+	if !coherent {
 		lastRaise = uint64(episodes)
 	}
 	inSpin, failedInSpin := false, false
@@ -271,13 +271,13 @@ func runSpinProgram(t *testing.T, fc faultCase, m *machine.Machine) {
 			for ep := 0; ep < episodes; ep++ {
 				p.Compute(int64(30 * (id + 1)))
 				b.Wait(p)
-				if id == 0 && (!cfg.Coherent || ep == episodes-1) {
+				if id == 0 && (!coherent || ep == episodes-1) {
 					raises++
 					p.WriteWord(flag, raises)
 				}
 			}
 		}
-		if !cfg.Coherent {
+		if !coherent {
 			return
 		}
 		for i, l := range []ksync.Lock{anderson, mcs} {
@@ -307,7 +307,7 @@ func runSpinProgram(t *testing.T, fc faultCase, m *machine.Machine) {
 	if !failedInSpin {
 		t.Fatalf("%s: cell %d's fail-stop did not land inside its spin", fc.label, fc.failCell)
 	}
-	for i := int64(0); cfg.Coherent && i < 2; i++ {
+	for i := int64(0); coherent && i < 2; i++ {
 		if got, want := m.Space().ReadWord(ctrs.PaddedSlot(i)), uint64(2*workers); got != want {
 			t.Fatalf("%s: lock %d's counter is %d, want %d", fc.label, i, got, want)
 		}

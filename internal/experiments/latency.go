@@ -223,15 +223,9 @@ func DefaultAllocConfig() AllocConfig {
 	return AllocConfig{Machine: KSR1Kind}
 }
 
-// RunAllocOverhead measures the cost of allocation-unit misses by striding
-// so that every access claims a fresh 2 KB sub-cache block (local case) or
-// a fresh 16 KB local-cache page (remote case).
-func RunAllocOverhead(mk MachineKind) (AllocOverheadResult, error) {
-	return RunAlloc(AllocConfig{Machine: mk})
-}
-
-// RunAlloc is RunAllocOverhead driven by a config (the form job specs
-// submit).
+// RunAlloc measures the cost of allocation-unit misses by striding so
+// that every access claims a fresh 2 KB sub-cache block (local case) or a
+// fresh 16 KB local-cache page (remote case).
 func RunAlloc(cfg AllocConfig) (AllocOverheadResult, error) {
 	var res AllocOverheadResult
 	m, err := NewMachineObsIn(cfg.Obs, cfg.Machine, 4, "alloc")

@@ -72,6 +72,12 @@ func RunLocks(cfg LocksConfig) (LocksResult, error) {
 	if procs == nil {
 		procs = DefaultProcSweep(cfg.Cells)
 	}
+	if cfg.OpsPerProc < 0 {
+		return LocksResult{}, fmt.Errorf("experiments: locks needs a non-negative OpsPerProc (got %d)", cfg.OpsPerProc)
+	}
+	if err := checkProcs(procs); err != nil {
+		return LocksResult{}, err
+	}
 	res := LocksResult{Procs: procs, ReadFrac: cfg.ReadFractions}
 	res.Exclusive = make([]float64, len(procs))
 	res.Shared = make([][]float64, len(cfg.ReadFractions))

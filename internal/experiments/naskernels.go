@@ -113,16 +113,6 @@ func (r KernelTableResult) String() string {
 	return s
 }
 
-// SpeedupAt returns the speedup at the given processor count, or false.
-func (r KernelTableResult) SpeedupAt(procs int) (float64, bool) {
-	for _, row := range r.Rows {
-		if row.Procs == procs {
-			return row.Speedup, true
-		}
-	}
-	return 0, false
-}
-
 // RunCGExperiment reproduces Table 1 (and the CG curve of Figure 8).
 func RunCGExperiment(cfg CGExperimentConfig) (KernelTableResult, error) {
 	res := KernelTableResult{
@@ -313,13 +303,16 @@ func RunSPExperiment(cfg SPExperimentConfig) (SPTableResult, error) {
 		Grid:     fmt.Sprintf("%dx%dx%d", cfg.Nx, cfg.Ny, cfg.Nz),
 		Verified: true,
 	}
-	ref := kernels.SPReference(kernels.SPConfig{
+	ref, err := kernels.SPReference(kernels.SPConfig{
 		Nx: cfg.Nx, Ny: cfg.Ny, Nz: cfg.Nz, Iterations: cfg.Iterations,
 		Procs: 1, Eps: 0.05, FlopsPerPoint: 80,
 	})
+	if err != nil {
+		return res, err
+	}
 	points := make([]metrics.Point, len(cfg.Procs))
 	sums := make([]float64, len(cfg.Procs))
-	err := forEachObs(cfg.Obs, len(cfg.Procs), func(i int) error {
+	err = forEachObs(cfg.Obs, len(cfg.Procs), func(i int) error {
 		m, err := NewMachineObsIn(cfg.Obs, cfg.Machine, cfg.Cells, fmt.Sprintf("sp/p=%d", cfg.Procs[i]))
 		if err != nil {
 			return err
@@ -379,10 +372,13 @@ func RunBTExperiment(cfg BTExperimentConfig) (SPTableResult, error) {
 	}
 	kcfg := kernels.DefaultBTConfig(1)
 	kcfg.Nx, kcfg.Ny, kcfg.Nz, kcfg.Iterations = cfg.Nx, cfg.Ny, cfg.Nz, cfg.Iterations
-	ref := kernels.BTReference(kcfg)
+	ref, err := kernels.BTReference(kcfg)
+	if err != nil {
+		return res, err
+	}
 	points := make([]metrics.Point, len(cfg.Procs))
 	sums := make([]float64, len(cfg.Procs))
-	err := forEachObs(cfg.Obs, len(cfg.Procs), func(i int) error {
+	err = forEachObs(cfg.Obs, len(cfg.Procs), func(i int) error {
 		m, err := NewMachineObsIn(cfg.Obs, cfg.Machine, cfg.Cells, fmt.Sprintf("bt/p=%d", cfg.Procs[i]))
 		if err != nil {
 			return err
@@ -445,14 +441,10 @@ func DefaultSPOptsConfig() SPOptsConfig {
 	return SPOptsConfig{SPExperimentConfig: DefaultSPExperiment(), OptProcs: 16}
 }
 
-// RunSPOpts runs the Table 4 ladder from a single config.
-func RunSPOpts(cfg SPOptsConfig) (SPOptsResult, error) {
-	return RunSPOptimizations(cfg.SPExperimentConfig, cfg.OptProcs)
-}
-
-// RunSPOptimizations reproduces Table 4: base, +padding, +prefetch, and
-// the poststore ablation, at the given processor count.
-func RunSPOptimizations(cfg SPExperimentConfig, procs int) (SPOptsResult, error) {
+// RunSPOpts reproduces Table 4: base, +padding, +prefetch, and the
+// poststore ablation, at cfg.OptProcs processors.
+func RunSPOpts(opts SPOptsConfig) (SPOptsResult, error) {
+	cfg, procs := opts.SPExperimentConfig, opts.OptProcs
 	res := SPOptsResult{Procs: procs}
 	run := func(label string, pad, pre, post bool) (float64, error) {
 		m, err := NewMachineObsIn(cfg.Obs, cfg.Machine, cfg.Cells, "spopts/"+label)

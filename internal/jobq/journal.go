@@ -63,15 +63,6 @@ type Record struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// terminal reports whether the record ends its job's lifecycle.
-func (r Record) terminal() bool {
-	switch r.Type {
-	case RecDone, RecFail, RecCancel, RecQuarantine:
-		return true
-	}
-	return false
-}
-
 // Journal is the append-only log. Safe for concurrent use.
 type Journal struct {
 	mu          sync.Mutex
@@ -309,10 +300,6 @@ type ReplayJob struct {
 	Attempts int
 	Terminal string // "", RecDone, RecFail, RecCancel, or RecQuarantine
 }
-
-// Pending reports whether the job never reached a terminal record and
-// must be re-enqueued on recovery.
-func (r ReplayJob) Pending() bool { return r.Terminal == "" }
 
 // Reduce folds a replayed record stream into per-job state, in original
 // submission order. Records for unknown ids (terminal records whose

@@ -162,10 +162,10 @@ func TestReduce(t *testing.T) {
 	for _, rj := range jobs {
 		byID[rj.Submit.ID] = rj
 	}
-	if rj := byID["a"]; rj.Terminal != RecDone || rj.Pending() {
+	if rj := byID["a"]; rj.Terminal != RecDone {
 		t.Errorf("a = %+v, want done", rj)
 	}
-	if rj := byID["b"]; !rj.Pending() || rj.Attempts != 2 {
+	if rj := byID["b"]; rj.Terminal != "" || rj.Attempts != 2 {
 		t.Errorf("b = %+v, want pending with 2 attempts", rj)
 	}
 	if rj := byID["c"]; rj.Terminal != RecCancel {

@@ -195,27 +195,3 @@ func BTStencil(eps, kappa float64) (a, b, c Mat5) {
 	b = Identity5().Sub(coupling.Scale(-2 * eps)) // I + 2*eps*coupling
 	return a, b, c
 }
-
-// BlockTriMul computes r_i = A x_{i-1} + B x_i + C x_{i+1} for
-// verification (ends truncated).
-func BlockTriMul(a, b, c Mat5, x []Vec5) []Vec5 {
-	n := len(x)
-	r := make([]Vec5, n)
-	for i := 0; i < n; i++ {
-		ri := b.MulVec(x[i])
-		if i > 0 {
-			ri2 := a.MulVec(x[i-1])
-			for k := range ri {
-				ri[k] += ri2[k]
-			}
-		}
-		if i < n-1 {
-			ri2 := c.MulVec(x[i+1])
-			for k := range ri {
-				ri[k] += ri2[k]
-			}
-		}
-		r[i] = ri
-	}
-	return r
-}

@@ -143,7 +143,10 @@ func TestBTMatchesSerialReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
-		want := BTReference(cfg)
+		want, err := BTReference(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if math.Abs(res.Checksum-want) > 1e-9*math.Abs(want) {
 			t.Errorf("procs=%d: checksum %g, reference %g", procs, res.Checksum, want)
 		}

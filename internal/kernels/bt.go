@@ -48,12 +48,8 @@ const pointWords = int64(BlockDim)
 // RunBT executes BT on m: x and y sweeps over z-slabs, z sweep over
 // y-slabs, each line solved as a 5x5 block tridiagonal system.
 func RunBT(m *machine.Machine, cfg BTConfig) (BTResult, error) {
-	if cfg.Procs < 1 || cfg.Nx < 4 || cfg.Ny < 4 || cfg.Nz < 4 || cfg.Iterations < 1 {
-		return BTResult{}, fmt.Errorf("kernels: bad BT config %+v", cfg)
-	}
-	if cfg.Nz < cfg.Procs || cfg.Ny < cfg.Procs {
-		return BTResult{}, fmt.Errorf("kernels: grid %dx%dx%d too small for %d procs",
-			cfg.Nx, cfg.Ny, cfg.Nz, cfg.Procs)
+	if err := cfg.check(); err != nil {
+		return BTResult{}, err
 	}
 	nx, ny, nz := cfg.Nx, cfg.Ny, cfg.Nz
 
@@ -173,9 +169,25 @@ func btInitField(cfg BTConfig) []Vec5 {
 	return u
 }
 
+// check rejects a grid, processor count or iteration count the block
+// solver cannot run. RunBT and BTReference both call it first.
+func (cfg BTConfig) check() error {
+	if cfg.Procs < 1 || cfg.Nx < 4 || cfg.Ny < 4 || cfg.Nz < 4 || cfg.Iterations < 1 {
+		return fmt.Errorf("kernels: bad BT config %+v", cfg)
+	}
+	if cfg.Nz < cfg.Procs || cfg.Ny < cfg.Procs {
+		return fmt.Errorf("kernels: grid %dx%dx%d too small for %d procs",
+			cfg.Nx, cfg.Ny, cfg.Nz, cfg.Procs)
+	}
+	return nil
+}
+
 // BTReference runs the same iteration serially in plain Go for
 // verification: the parallel checksum must match exactly.
-func BTReference(cfg BTConfig) float64 {
+func BTReference(cfg BTConfig) (float64, error) {
+	if err := cfg.check(); err != nil {
+		return 0, err
+	}
 	nx, ny, nz := cfg.Nx, cfg.Ny, cfg.Nz
 	u := btInitField(cfg)
 	idx := func(i, j, k int) int { return i + nx*(j+ny*k) }
@@ -231,5 +243,5 @@ func BTReference(cfg BTConfig) float64 {
 			sum += x
 		}
 	}
-	return sum
+	return sum, nil
 }

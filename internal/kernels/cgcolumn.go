@@ -78,6 +78,8 @@ func (r MatvecCompareResult) String() string {
 // blocks per processor and serializes updates to y through per-segment
 // hardware locks, exactly the synchronization the paper's restructuring
 // avoids.
+//
+//lint:ignore ksrlint/deadapi the column-format CG ablation (DESIGN.md X4) runs it from go test -bench=Ablation
 func RunMatvecComparison(n, nnz, procs int, seed uint64) (MatvecCompareResult, error) {
 	var res MatvecCompareResult
 	if procs < 1 || n < procs {

@@ -317,7 +317,10 @@ func TestSPMatchesSerialReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
-		want := SPReference(cfg)
+		want, err := SPReference(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if math.Abs(res.Checksum-want) > 1e-9*math.Abs(want) {
 			t.Errorf("procs=%d: checksum %g, reference %g", procs, res.Checksum, want)
 		}
@@ -326,7 +329,10 @@ func TestSPMatchesSerialReference(t *testing.T) {
 
 func TestSPOptionsPreserveAnswer(t *testing.T) {
 	base := DefaultSPConfig(4)
-	want := SPReference(base)
+	want, err := SPReference(base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mod := range []func(*SPConfig){
 		func(c *SPConfig) { c.Padding = true },
 		func(c *SPConfig) { c.Prefetch = true },

@@ -38,9 +38,6 @@ func (g *LCG) Next() float64 {
 	return float64(g.x) / float64(lcgMod)
 }
 
-// Raw returns the current 46-bit state.
-func (g *LCG) Raw() uint64 { return g.x }
-
 // lcgPow returns a^n mod 2^46 by binary exponentiation.
 func lcgPow(a uint64, n uint64) uint64 {
 	r := uint64(1)

@@ -86,33 +86,3 @@ func (s *PentaSolver) Solve(x []float64) {
 func SPStencil(eps float64) (a, b, c, d, e float64) {
 	return eps, -4 * eps, 1 + 6*eps, -4 * eps, eps
 }
-
-// PentaMulAdd computes y = (I + eps*D4) x for verification, with the same
-// end-row truncation SetConstant applies.
-func PentaMulAdd(x []float64, eps float64) []float64 {
-	n := len(x)
-	a, b, c, d, e := SPStencil(eps)
-	y := make([]float64, n)
-	get := func(i int) float64 {
-		if i < 0 || i >= n {
-			return 0
-		}
-		return x[i]
-	}
-	for i := 0; i < n; i++ {
-		y[i] = c * x[i]
-		if i >= 1 {
-			y[i] += b * get(i-1)
-		}
-		if i >= 2 {
-			y[i] += a * get(i-2)
-		}
-		if i < n-1 {
-			y[i] += d * get(i+1)
-		}
-		if i < n-2 {
-			y[i] += e * get(i+2)
-		}
-	}
-	return y
-}

@@ -72,7 +72,10 @@ func TestKernelReportsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := SPReference(spCfg)
+	ref, err := SPReference(spCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep := SPReport(spCfg, spRes, "ksr1", ref); !rep.Verified {
 		t.Errorf("SP report not verified: %+v", rep)
 	}

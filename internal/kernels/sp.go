@@ -61,12 +61,8 @@ type SPResult struct {
 // redistribution between phases produces the phase-boundary communication
 // the paper describes.
 func RunSP(m *machine.Machine, cfg SPConfig) (SPResult, error) {
-	if cfg.Procs < 1 || cfg.Nx < 4 || cfg.Ny < 4 || cfg.Nz < 4 || cfg.Iterations < 1 {
-		return SPResult{}, fmt.Errorf("kernels: bad SP config %+v", cfg)
-	}
-	if cfg.Nz < cfg.Procs || cfg.Ny < cfg.Procs {
-		return SPResult{}, fmt.Errorf("kernels: grid %dx%dx%d too small for %d procs",
-			cfg.Nx, cfg.Ny, cfg.Nz, cfg.Procs)
+	if err := cfg.check(); err != nil {
+		return SPResult{}, err
 	}
 	nx, ny, nz := cfg.Nx, cfg.Ny, cfg.Nz
 
@@ -247,9 +243,25 @@ func RunSP(m *machine.Machine, cfg SPConfig) (SPResult, error) {
 	return res, nil
 }
 
+// check rejects a grid, processor count or iteration count the
+// solvers cannot run. RunSP and SPReference both call it first.
+func (cfg SPConfig) check() error {
+	if cfg.Procs < 1 || cfg.Nx < 4 || cfg.Ny < 4 || cfg.Nz < 4 || cfg.Iterations < 1 {
+		return fmt.Errorf("kernels: bad SP config %+v", cfg)
+	}
+	if cfg.Nz < cfg.Procs || cfg.Ny < cfg.Procs {
+		return fmt.Errorf("kernels: grid %dx%dx%d too small for %d procs",
+			cfg.Nx, cfg.Ny, cfg.Nz, cfg.Procs)
+	}
+	return nil
+}
+
 // SPReference runs the same smoothing iteration serially in plain Go (no
 // simulation) for verification: the parallel result must match exactly.
-func SPReference(cfg SPConfig) float64 {
+func SPReference(cfg SPConfig) (float64, error) {
+	if err := cfg.check(); err != nil {
+		return 0, err
+	}
 	nx, ny, nz := cfg.Nx, cfg.Ny, cfg.Nz
 	u := make([]float64, nx*ny*nz)
 	idx := func(i, j, k int) int { return i + nx*(j+ny*k) }
@@ -304,5 +316,5 @@ func SPReference(cfg SPConfig) float64 {
 	for _, v := range u {
 		sum += v
 	}
-	return sum
+	return sum, nil
 }

@@ -92,23 +92,6 @@ func (a *SparseMatrix) MulRows(y, x []float64, lo, hi int) {
 // Mul computes y = A*x.
 func (a *SparseMatrix) Mul(y, x []float64) { a.MulRows(y, x, 0, a.N) }
 
-// IsSymmetric verifies A = A^T (test support).
-func (a *SparseMatrix) IsSymmetric() bool {
-	type key struct{ i, j int32 }
-	m := make(map[key]float64, a.NNZ())
-	for i := 0; i < a.N; i++ {
-		for k := a.RowStart[i]; k < a.RowStart[i+1]; k++ {
-			m[key{int32(i), a.ColIdx[k]}] = a.Vals[k]
-		}
-	}
-	for k, v := range m {
-		if m[key{k.j, k.i}] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	s := 0.0

@@ -15,13 +15,9 @@ import (
 
 // Lock is a plain mutual-exclusion lock.
 type Lock interface {
-	Name() string
 	Acquire(p *machine.Proc)
 	Release(p *machine.Proc)
 }
-
-// Name implements Lock for HWLock.
-func (l *HWLock) Name() string { return "hw-exclusive" }
 
 // AndersonLock is Anderson's array-based queue lock: a ticket counter
 // plus a ring of per-slot flags, each padded to its own sub-page so that
@@ -53,9 +49,6 @@ func NewAndersonLock(m *machine.Machine) *AndersonLock {
 	m.Space().WriteWord(l.slots.PaddedSlot(0), 1)
 	return l
 }
-
-// Name implements Lock.
-func (l *AndersonLock) Name() string { return "anderson" }
 
 func (l *AndersonLock) slot(t uint64) memory.Addr {
 	return l.slots.PaddedSlot(int64(t % l.nslots))
@@ -109,9 +102,6 @@ func NewMCSLock(m *machine.Machine) *MCSLock {
 		nodes:        m.AllocPerCell("lock.mcs.nodes"),
 	}
 }
-
-// Name implements Lock.
-func (l *MCSLock) Name() string { return "mcs-queue" }
 
 func (l *MCSLock) flagOf(cell int) memory.Addr { return l.nodes.Addr(cell) }
 func (l *MCSLock) nextOf(cell int) memory.Addr {

@@ -27,13 +27,13 @@ func lockExclusionCheck(t *testing.T, m *machine.Machine, l Lock, procs, ops int
 		}
 	})
 	if err != nil {
-		t.Fatalf("%s: %v", l.Name(), err)
+		t.Fatalf("%T: %v", l, err)
 	}
 	if maxIn != 1 {
-		t.Errorf("%s: %d holders at once", l.Name(), maxIn)
+		t.Errorf("%T: %d holders at once", l, maxIn)
 	}
 	if total != procs*ops {
-		t.Errorf("%s: %d operations completed, want %d", l.Name(), total, procs*ops)
+		t.Errorf("%T: %d operations completed, want %d", l, total, procs*ops)
 	}
 }
 
@@ -42,13 +42,16 @@ func TestQueueLocksAllMachines(t *testing.T) {
 		machine.KSR1(8), machine.KSR2(8), machine.Symmetry(8), machine.Butterfly(8),
 	}
 	for _, cfg := range configs {
-		for _, mk := range []func(*machine.Machine) Lock{
-			func(m *machine.Machine) Lock { return NewAndersonLock(m) },
-			func(m *machine.Machine) Lock { return NewMCSLock(m) },
+		for _, lk := range []struct {
+			name string
+			mk   func(*machine.Machine) Lock
+		}{
+			{"anderson", func(m *machine.Machine) Lock { return NewAndersonLock(m) }},
+			{"mcs-queue", func(m *machine.Machine) Lock { return NewMCSLock(m) }},
 		} {
 			m := machine.New(cfg)
-			l := mk(m)
-			t.Run(cfg.Name+"/"+l.Name(), func(t *testing.T) {
+			l := lk.mk(m)
+			t.Run(cfg.Name+"/"+lk.name, func(t *testing.T) {
 				lockExclusionCheck(t, m, l, 8, 6)
 			})
 		}

@@ -12,6 +12,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"repro/internal/lint/facts"
@@ -48,6 +49,12 @@ type Pass struct {
 	// before running analyzers. May be nil for analyzers that never read
 	// facts, so consumers go through the nil-safe Store methods.
 	Facts *facts.Store
+
+	// Referenced holds every object that a non-test file of the module
+	// refers to, keyed by origin (see AddReferences). Only a driver that
+	// loaded the whole module can know it; on any other run, the go vet
+	// driver's included, it is nil.
+	Referenced map[types.Object]bool
 }
 
 // FactsLookup adapts the pass's fact store to the scanner's Lookup
@@ -116,13 +123,82 @@ func Callee(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// CalleeIsPkgFunc reports whether call invokes the package-level
-// function pkgPath.name.
-func CalleeIsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	obj := Callee(info, call)
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
+// AddReferences records in refs every object that the non-test files
+// among files refer to. Generic instances are recorded as their origin.
+// A declaration's references to what it declares do not count, nor do
+// a method's references to its receiver's type: recursion does not keep
+// a function alive, and its own methods do not keep a type alive.
+func AddReferences(refs map[types.Object]bool, fset *token.FileSet, files []*ast.File, info *types.Info) {
+	for _, file := range files {
+		if strings.HasSuffix(fset.Position(file.Pos()).Filename, "_test.go") {
+			continue
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				self := []types.Object{info.Defs[d.Name]}
+				if fn, ok := self[0].(*types.Func); ok {
+					if recv := ReceiverType(fn); recv != nil {
+						self = append(self, recv)
+					}
+				}
+				addUses(refs, d, info, self)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					var self []types.Object
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						self = append(self, info.Defs[s.Name])
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							self = append(self, info.Defs[n])
+						}
+					}
+					addUses(refs, spec, info, self)
+				}
+			}
+		}
 	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
+}
+
+// addUses records the objects used under root, except those in self.
+func addUses(refs map[types.Object]bool, root ast.Node, info *types.Info, self []types.Object) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if obj := origin(info.Uses[id]); obj != nil && !slices.Contains(self, obj) {
+				refs[obj] = true
+			}
+		}
+		return true
+	})
+}
+
+// ReceiverType returns the named type a method is declared on: T for
+// func (T) M() and func (*T) M(), and the interface for an interface
+// method. It returns nil for a plain function.
+func ReceiverType(fn *types.Func) *types.TypeName {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj()
+	}
+	return nil
+}
+
+// origin maps an object of a generic instance to its generic origin,
+// and returns every other object unchanged.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }

@@ -35,39 +35,45 @@ import (
 // Run loads each fixture package below dir/src and applies a, reporting
 // any mismatch between diagnostics and `// want` expectations on t.
 // Packages are analyzed in the order given, against a fact store shared
-// across the whole run (fixture imports build their facts first, the
-// same deps-before-dependents discipline the real drivers follow), so
-// cross-package expectations behave like the standalone driver.
+// across the whole run: before a package is analyzed, the facts of every
+// fixture package it imports are built first, the same
+// deps-before-dependents discipline the real drivers follow, so
+// cross-package expectations behave like the standalone driver. The
+// fixture packages loaded by the run stand for the whole module, so
+// Pass.Referenced holds every object their non-test files refer to.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	fset := token.NewFileSet()
-	imp := &fixtureImporter{
-		fset:  fset,
-		root:  filepath.Join(dir, "src"),
-		std:   importer.ForCompiler(fset, "source", nil),
-		pkgs:  make(map[string]*fixturePkg),
-		store: facts.NewStore(),
-	}
+	imp := newFixtureImporter(dir)
+	var pkgs []*fixturePkg
 	for _, path := range pkgPaths {
 		fp, err := imp.load(path)
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", path, err)
 		}
+		pkgs = append(pkgs, fp)
+	}
+	referenced := map[types.Object]bool{}
+	for _, fp := range imp.pkgs {
+		analysis.AddReferences(referenced, imp.fset, fp.files, fp.info)
+	}
+	for i, fp := range pkgs {
+		imp.addFacts(fp)
 		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     fp.files,
-			Pkg:       fp.pkg,
-			TypesInfo: fp.info,
-			Facts:     imp.store,
+			Analyzer:   a,
+			Fset:       imp.fset,
+			Files:      fp.files,
+			Pkg:        fp.pkg,
+			TypesInfo:  fp.info,
+			Facts:      imp.store,
+			Referenced: referenced,
 		}
 		var diags []analysis.Diagnostic
 		pass.Report = func(d analysis.Diagnostic) { diags = append(diags, d) }
 		if err := a.Run(pass); err != nil {
-			t.Fatalf("%s on %s: %v", a.Name, path, err)
+			t.Fatalf("%s on %s: %v", a.Name, pkgPaths[i], err)
 		}
-		diags = ignore.Filter(fset, fp.files, a.Name, diags)
-		check(t, fset, a, path, fp.files, diags)
+		diags = ignore.Filter(imp.fset, fp.files, a.Name, diags)
+		check(t, imp.fset, a, pkgPaths[i], fp.files, diags)
 	}
 }
 
@@ -76,14 +82,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 // be matched by a `// want` comment on its line, and vice versa.
 func RunIgnoreAudit(t *testing.T, dir string, pkgPaths ...string) {
 	t.Helper()
-	fset := token.NewFileSet()
-	imp := &fixtureImporter{
-		fset:  fset,
-		root:  filepath.Join(dir, "src"),
-		std:   importer.ForCompiler(fset, "source", nil),
-		pkgs:  make(map[string]*fixturePkg),
-		store: facts.NewStore(),
-	}
+	imp := newFixtureImporter(dir)
 	audit := &analysis.Analyzer{Name: "ignore", Doc: "malformed suppression audit"}
 	for _, path := range pkgPaths {
 		fp, err := imp.load(path)
@@ -91,32 +90,56 @@ func RunIgnoreAudit(t *testing.T, dir string, pkgPaths ...string) {
 			t.Fatalf("loading fixture %s: %v", path, err)
 		}
 		var diags []analysis.Diagnostic
-		_, malformed := ignore.Parse(fset, fp.files)
+		_, malformed := ignore.Parse(imp.fset, fp.files)
 		for _, m := range malformed {
 			diags = append(diags, analysis.Diagnostic{Pos: m.Pos, Message: m.Message})
 		}
-		check(t, fset, audit, path, fp.files, diags)
+		check(t, imp.fset, audit, path, fp.files, diags)
 	}
 }
 
 // fixturePkg is one loaded fixture package.
 type fixturePkg struct {
-	files []*ast.File
-	pkg   *types.Package
-	info  *types.Info
+	files     []*ast.File
+	pkg       *types.Package
+	info      *types.Info
+	factsDone bool // its summaries are in the store
 }
 
 // fixtureImporter resolves fixture-tree imports itself and defers
-// everything else to the source importer. Every fixture package it
-// loads contributes its interprocedural summaries to store; the
-// recursion in load bottoms out at leaf packages, so a package's
-// dependencies always have facts before its own are built.
+// everything else to the source importer. addFacts folds a loaded
+// package's interprocedural summaries into store after those of the
+// fixture packages it imports.
 type fixtureImporter struct {
 	fset  *token.FileSet
 	root  string
 	std   types.Importer
 	pkgs  map[string]*fixturePkg
 	store *facts.Store
+}
+
+func newFixtureImporter(dir string) *fixtureImporter {
+	fset := token.NewFileSet()
+	return &fixtureImporter{
+		fset:  fset,
+		root:  filepath.Join(dir, "src"),
+		std:   importer.ForCompiler(fset, "source", nil),
+		pkgs:  make(map[string]*fixturePkg),
+		store: facts.NewStore(),
+	}
+}
+
+func (im *fixtureImporter) addFacts(fp *fixturePkg) {
+	if fp.factsDone {
+		return
+	}
+	fp.factsDone = true
+	for _, dep := range fp.pkg.Imports() {
+		if d, ok := im.pkgs[dep.Path()]; ok {
+			im.addFacts(d)
+		}
+	}
+	im.store.Add(facts.BuildPackage(im.fset, fp.files, fp.info, im.store))
 }
 
 func (im *fixtureImporter) Import(path string) (*types.Package, error) {
@@ -154,7 +177,6 @@ func (im *fixtureImporter) load(path string) (*fixturePkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	im.store.Add(facts.BuildPackage(im.fset, files, info, im.store))
 	fp := &fixturePkg{files: files, pkg: pkg, info: info}
 	im.pkgs[path] = fp
 	return fp, nil

@@ -4,6 +4,7 @@ package all
 import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/analyzers/canonicaljson"
+	"repro/internal/lint/analyzers/deadapi"
 	"repro/internal/lint/analyzers/determinism"
 	"repro/internal/lint/analyzers/errnopanic"
 	"repro/internal/lint/analyzers/hookcheck"
@@ -23,4 +24,5 @@ var Analyzers = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	timedomain.Analyzer,
 	errnopanic.Analyzer,
+	deadapi.Analyzer,
 }

@@ -145,11 +145,10 @@ func DecodePackage(b []byte) (*PackageFacts, error) {
 // everything imported (transitively) that was analyzed before it.
 type Store struct {
 	funcs map[Key]*Summary
-	pkgs  map[string]bool
 }
 
 func NewStore() *Store {
-	return &Store{funcs: make(map[Key]*Summary), pkgs: make(map[string]bool)}
+	return &Store{funcs: make(map[Key]*Summary)}
 }
 
 // Add merges pf into the store. Re-adding a package (a test variant of
@@ -159,14 +158,10 @@ func (s *Store) Add(pf *PackageFacts) {
 	if pf == nil {
 		return
 	}
-	s.pkgs[pf.Path] = true
 	for k, sum := range pf.Funcs {
 		s.funcs[k] = sum
 	}
 }
-
-// Has reports whether facts for the package path were loaded.
-func (s *Store) Has(pkgPath string) bool { return s != nil && s.pkgs[pkgPath] }
 
 // ByKey returns the summary for k, or nil.
 func (s *Store) ByKey(k Key) *Summary {

@@ -1,10 +1,10 @@
 // Package load type-checks Go packages for ksrlint's standalone driver
 // without golang.org/x/tools/go/packages: it enumerates packages with
 // `go list -json`, parses their non-test sources, and type-checks them
-// with the standard library's source importer (which resolves both
-// stdlib and module-local imports from source, so no export data or
-// network is needed). It must run with the working directory inside the
-// target module.
+// in dependency order, resolving module-local imports to the packages
+// it has already checked and the standard library with the source
+// importer (so no export data or network is needed). It must run with
+// the working directory inside the target module.
 package load
 
 import (
@@ -19,6 +19,7 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // Package is one loaded, type-checked package. DepOnly marks packages
@@ -46,30 +47,18 @@ type listPkg struct {
 	Error      *struct{ Err string }
 }
 
-// Packages loads and type-checks every package matching patterns
-// (as `go list` interprets them), sharing one FileSet and one source
-// importer across the set so common dependencies are checked once.
-func Packages(fset *token.FileSet, patterns []string) ([]*Package, error) {
-	return list(fset, append([]string{"list", "-json"}, patterns...))
-}
-
-// PackagesWithDeps loads the packages matching patterns plus their
-// in-module dependencies (standard-library packages are classified by
-// ksrlint's assumption tables, not loaded). `go list -deps` emits
-// dependencies before dependents, and that order is preserved, so a
-// caller folding facts package-by-package always has a callee's facts
-// before reaching its caller.
+// PackagesWithDeps loads the packages matching patterns (as `go list`
+// interprets them) plus their in-module dependencies (standard-library
+// packages are classified by ksrlint's assumption tables, not loaded).
+// `go list -deps` emits dependencies before dependents, and that order
+// is preserved, so a caller folding facts package-by-package always has
+// a callee's facts before reaching its caller. Each package is
+// type-checked once: its dependents import the same *types.Package, so
+// an object means one thing across the whole set.
 func PackagesWithDeps(fset *token.FileSet, patterns []string) ([]*Package, error) {
-	return list(fset, append([]string{"list", "-deps", "-json"}, patterns...))
-}
-
-func list(fset *token.FileSet, args []string) ([]*Package, error) {
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	out, err := goCmd(append([]string{"list", "-deps", "-json"}, patterns...)...)
 	if err != nil {
-		return nil, fmt.Errorf("go %v: %v\n%s", args, err, stderr.Bytes())
+		return nil, err
 	}
 	var metas []listPkg
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -83,7 +72,7 @@ func list(fset *token.FileSet, args []string) ([]*Package, error) {
 		metas = append(metas, p)
 	}
 
-	imp := importer.ForCompiler(fset, "source", nil)
+	imp := &moduleImporter{std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*types.Package{}}
 	var pkgs []*Package
 	for _, m := range metas {
 		if m.Standard {
@@ -107,6 +96,7 @@ func list(fset *token.FileSet, args []string) ([]*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("type-checking %s: %v", m.ImportPath, err)
 		}
+		imp.pkgs[m.ImportPath] = pkg
 		pkgs = append(pkgs, &Package{
 			Path:    m.ImportPath,
 			Name:    m.Name,
@@ -118,6 +108,56 @@ func list(fset *token.FileSet, args []string) ([]*Package, error) {
 		})
 	}
 	return pkgs, nil
+}
+
+// CoversModule reports whether pkgs holds every package of the main
+// module that has non-test Go files: only then can a driver tell which
+// of the module's identifiers nothing references.
+func CoversModule(pkgs []*Package) (bool, error) {
+	mod, err := goCmd("list", "-m")
+	if err != nil {
+		return false, err
+	}
+	out, err := goCmd("list", "-f", "{{if .GoFiles}}{{.ImportPath}}{{end}}", strings.TrimSpace(string(mod))+"/...")
+	if err != nil {
+		return false, err
+	}
+	loaded := map[string]bool{}
+	for _, p := range pkgs {
+		loaded[p.Path] = true
+	}
+	for _, path := range strings.Fields(string(out)) {
+		if !loaded[path] {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+func goCmd(args ...string) ([]byte, error) {
+	cmd := exec.Command("go", args...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go %v: %v\n%s", args, err, stderr.Bytes())
+	}
+	return out, nil
+}
+
+// moduleImporter resolves the packages the loader has already checked
+// to those packages, and everything else (the standard library) from
+// source.
+type moduleImporter struct {
+	std  types.Importer
+	pkgs map[string]*types.Package
+}
+
+func (im *moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := im.pkgs[path]; ok {
+		return p, nil
+	}
+	return im.std.Import(path)
 }
 
 // Check type-checks one package's parsed files with the given importer

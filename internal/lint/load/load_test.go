@@ -95,7 +95,7 @@ func TestNothing(t *testing.T) {}
 `,
 	})
 	fset := token.NewFileSet()
-	pkgs, err := load.Packages(fset, []string{"./..."})
+	pkgs, err := load.PackagesWithDeps(fset, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func Excluded() int { return undefinedEverywhereElse }
 `,
 	})
 	fset := token.NewFileSet()
-	pkgs, err := load.Packages(fset, []string{"example.test/m/p"})
+	pkgs, err := load.PackagesWithDeps(fset, []string{"example.test/m/p"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,5 +140,33 @@ func Excluded() int { return undefinedEverywhereElse }
 	}
 	if len(pkgs[0].Files) != 1 {
 		t.Errorf("parsed %d files, want 1 (excluded.go must not be parsed)", len(pkgs[0].Files))
+	}
+}
+
+// TestCoversModule checks the whole-module test that gates deadapi: a
+// pattern naming one package of two does not cover the module, ./...
+// does, and a package with only test files need not be loaded.
+func TestCoversModule(t *testing.T) {
+	writeModule(t, map[string]string{
+		"go.mod":      "module example.test/m\n\ngo 1.24\n",
+		"a/a.go":      "package a\n\nfunc A() int { return 1 }\n",
+		"b/b.go":      "package b\n\nfunc B() int { return 2 }\n",
+		"t/t_test.go": "package t\n",
+	})
+	for _, tc := range []struct {
+		pattern string
+		want    bool
+	}{{"example.test/m/a", false}, {"./...", true}} {
+		pkgs, err := load.PackagesWithDeps(token.NewFileSet(), []string{tc.pattern})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := load.CoversModule(pkgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("CoversModule after loading %s = %v, want %v", tc.pattern, got, tc.want)
+		}
 	}
 }

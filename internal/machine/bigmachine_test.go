@@ -39,7 +39,7 @@ func TestBigMachineSingleRing(t *testing.T) {
 	var sum uint64
 	elapsed, err := b.Run(8, func(ring int, p *Proc) {
 		p.Compute(100)
-		sum += uint64(b.GlobalID(ring, p.CellID()))
+		sum += uint64(ring*b.RingSize() + p.CellID())
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestBigMachineCrossFetchLatencyFloor(t *testing.T) {
 	}
 	// Unloaded: three rotations (src leaf, level-1, dst leaf) + three ARD
 	// crossings, each 8750 ns on the KSR presets.
-	cfg := b.Config().Ring
+	cfg := b.cfg.Ring
 	floor := 3*(cfg.SlotHold+cfg.Overhead) + 3*cfg.ARDCross
 	if lat < floor {
 		t.Fatalf("cross-ring fetch latency %v below unloaded floor %v", lat, floor)

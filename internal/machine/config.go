@@ -249,15 +249,10 @@ func Butterfly(cells int) Config {
 }
 
 // WithSeed returns a copy of the config with a different seed.
+//
+//lint:ignore ksrlint/deadapi read by bench/ksrbench, a separate module that ksrlint does not load
 func (c Config) WithSeed(seed uint64) Config {
 	c.Seed = seed
-	return c
-}
-
-// WithFaults returns a copy of the config with the given fault injection
-// configuration.
-func (c Config) WithFaults(f faults.Config) Config {
-	c.Faults = f
 	return c
 }
 

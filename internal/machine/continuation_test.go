@@ -261,7 +261,7 @@ func TestAccessAllocs(t *testing.T) {
 	// waitUntil computes until simulated time at.
 	waitUntil := func(p *Proc, at sim.Time) {
 		if d := at - p.Now(); d > 0 {
-			p.Compute(int64(d / m.Config().CPUCycle))
+			p.Compute(int64(d / m.cfg.CPUCycle))
 		}
 	}
 	var hit, read, write float64
@@ -315,18 +315,19 @@ func TestAccessAllocs(t *testing.T) {
 	}
 }
 
-// Failed get_sub_page attempts and contended acquisitions allocate
-// nothing once each processor has made its first.
+// Contended acquisitions, failed get_sub_page attempts and their
+// retries included, allocate nothing once each processor has made its
+// first.
 func TestGetSubPageRetryAllocs(t *testing.T) {
 	m := New(KSR1(4))
 	lock := m.AllocPadded("lock", 1).PaddedSlot(0)
-	var failed, cycle float64
+	var cycle float64
 	measuring := true
 	_, err := m.Run(4, func(p *Proc) {
 		switch p.CellID() {
 		case 0:
-			// Hold the sub-page while cell 1 retries, then contend with
-			// cells 2 and 3.
+			// Hold the sub-page while the others retry, then contend
+			// with them.
 			p.AcquireSubPage(lock)
 			p.Compute(40_000)
 			p.ReleaseSubPage(lock)
@@ -337,13 +338,6 @@ func TestGetSubPageRetryAllocs(t *testing.T) {
 				p.Compute(10) // let the waiters' retries go first
 			})
 			measuring = false
-		case 1:
-			p.Compute(20)
-			failed = testing.AllocsPerRun(50, func() {
-				if p.GetSubPage(lock) {
-					t.Error("get_sub_page succeeded while cell 0 held the sub-page")
-				}
-			})
 		default:
 			for measuring {
 				p.AcquireSubPage(lock)
@@ -355,9 +349,6 @@ func TestGetSubPageRetryAllocs(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if failed != 0 {
-		t.Errorf("failed get_sub_page: %v allocs, want 0", failed)
 	}
 	if cycle != 0 {
 		t.Errorf("contended acquire/release: %v allocs, want 0", cycle)
@@ -381,7 +372,7 @@ func TestSpinAllocs(t *testing.T) {
 	const raises = 2 * (runs + 1)
 	waitUntil := func(p *Proc, at sim.Time) {
 		if d := at - p.Now(); d > 0 {
-			p.Compute(int64(d / m.Config().CPUCycle))
+			p.Compute(int64(d / m.cfg.CPUCycle))
 		}
 	}
 	var one, four float64

@@ -14,8 +14,8 @@ func TestAccessorsAndConfigHelpers(t *testing.T) {
 		t.Error("WithSeed ignored")
 	}
 	m := New(cfg)
-	if m.Config().Seed != 99 || m.Cells() != 8 {
-		t.Error("Config/Cells accessors wrong")
+	if m.cfg.Seed != 99 || m.Cells() != 8 {
+		t.Error("seed or Cells accessor wrong")
 	}
 	if m.Engine() == nil || m.Fabric() == nil || m.Space() == nil {
 		t.Error("nil accessors")
@@ -23,13 +23,10 @@ func TestAccessorsAndConfigHelpers(t *testing.T) {
 	if m.Now() != 0 {
 		t.Error("fresh machine not at time zero")
 	}
-	if m.CellAt(3).ID() != 3 {
-		t.Error("Cell.ID wrong")
+	if m.CellAt(3).id != 3 {
+		t.Error("CellAt(3) is not cell 3")
 	}
 	_, err := m.Run(4, func(p *Proc) {
-		if p.NumProcs() != 4 {
-			t.Errorf("NumProcs = %d", p.NumProcs())
-		}
 		if p.Process() == nil {
 			t.Error("Process() nil")
 		}

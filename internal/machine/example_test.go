@@ -42,13 +42,3 @@ func ExampleMachine_Alloc() {
 	// page-aligned: true
 	// rounded size: 16384
 }
-
-// WorkMix models the cell's dual-issue pipelines: a CEU stream and an
-// FPU/IPU stream retire in parallel.
-func ExampleWorkMix_Cycles() {
-	perfect := machine.WorkMix{CEU: 100, FPU: 100}
-	fpuBound := machine.WorkMix{CEU: 20, FPU: 100}
-	fmt.Println(perfect.Cycles(), fpuBound.Cycles())
-	// Output:
-	// 100 100
-}

@@ -82,7 +82,7 @@ func TestFailStopWedgesPeer(t *testing.T) {
 	if got := m.FailedCells(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("FailedCells = %v, want [0]", got)
 	}
-	if m.CellAt(0).Failed() != true || m.CellAt(1).Failed() != false {
+	if m.CellAt(0).failed != true || m.CellAt(1).failed != false {
 		t.Error("Failed() flags wrong")
 	}
 	if m.FaultStats().FailStops != 1 {
@@ -161,6 +161,11 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("two-leaf ring rejected: %v", err)
 	}
 
+	withFaults := func(f faults.Config) Config {
+		cfg := KSR1(4)
+		cfg.Faults = f
+		return cfg
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -168,12 +173,12 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero cells", KSR1(0), "at least one cell"},
 		{"ring indivisible", KSR1(48), "leaf rings"},
-		{"negative rate", KSR1(4).WithFaults(faults.Config{NACKRate: -0.1}), "[0, 1]"},
-		{"rate above one", KSR1(4).WithFaults(faults.Config{SlotLossRate: 1.5}), "[0, 1]"},
-		{"fail-stop out of range", KSR1(4).WithFaults(faults.Config{
+		{"negative rate", withFaults(faults.Config{NACKRate: -0.1}), "[0, 1]"},
+		{"rate above one", withFaults(faults.Config{SlotLossRate: 1.5}), "[0, 1]"},
+		{"fail-stop out of range", withFaults(faults.Config{
 			FailStop: map[int]sim.Time{7: sim.Second},
 		}), "out of range"},
-		{"fail-stop at zero", KSR1(4).WithFaults(faults.Config{
+		{"fail-stop at zero", withFaults(faults.Config{
 			FailStop: map[int]sim.Time{1: 0},
 		}), "must be positive"},
 	}

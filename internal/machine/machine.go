@@ -75,16 +75,12 @@ type Cell struct {
 	failed    bool
 }
 
-// ID returns the cell number.
-func (c *Cell) ID() int { return c.id }
-
-// Failed reports whether fault injection has permanently halted the cell.
-func (c *Cell) Failed() bool { return c.failed }
-
 // Monitor returns a copy of the cell's performance counters.
 func (c *Cell) Monitor() Monitor { return c.mon }
 
 // SubCache returns the first-level cache (for stats inspection).
+//
+//lint:ignore ksrlint/deadapi read by bench/ksrbench, a separate module that ksrlint does not load
 func (c *Cell) SubCache() *cache.Cache { return c.sub }
 
 // LocalCache returns the second-level cache.
@@ -235,9 +231,6 @@ func (m *Machine) Prof() *prof.Recorder { return m.profRec }
 // Obs returns the machine's trace recorder, or nil when unobserved.
 func (m *Machine) Obs() *obs.Recorder { return m.obs }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Engine returns the simulation engine (for Now() and custom events).
 func (m *Machine) Engine() *sim.Engine { return m.eng }
 
@@ -260,15 +253,13 @@ func (m *Machine) Cells() int { return m.cfg.Cells }
 // Now returns the current simulated time.
 func (m *Machine) Now() sim.Time { return m.eng.Now() }
 
-// Injector returns the machine's fault injector, or nil when no faults
-// are configured.
-func (m *Machine) Injector() *faults.Injector { return m.inj }
-
 // FaultStats returns cumulative fault-injection counters (zeros when no
 // faults are configured).
 func (m *Machine) FaultStats() faults.Stats { return m.inj.Stats() }
 
 // FailedCells lists the cells fault injection has halted, in id order.
+//
+//lint:ignore ksrlint/deadapi TestGoldenFaultTrace writes the failed cells into its golden file
 func (m *Machine) FailedCells() []int {
 	var ids []int
 	for _, c := range m.cells {
@@ -313,32 +304,6 @@ func (m *Machine) TotalMonitor() Monitor {
 		tot.Add(c.mon)
 	}
 	return tot
-}
-
-// ResetMonitors zeroes all per-cell counters (the experiments reset after
-// warmup phases, just as the authors reset the hardware monitor).
-func (m *Machine) ResetMonitors() {
-	for _, c := range m.cells {
-		c.mon = Monitor{}
-	}
-}
-
-// ResetStats zeroes every cumulative counter on the machine — per-cell
-// monitors and caches, the fabric tracker, and the coherence directory —
-// so experiments can measure the paper's way: warm up, reset, measure
-// the interesting region as a delta.
-func (m *Machine) ResetStats() {
-	m.ResetMonitors()
-	m.fab.ResetStats()
-	if m.dir != nil {
-		m.dir.ResetStats()
-	}
-	for _, c := range m.cells {
-		if c.sub != nil {
-			c.sub.ResetStats()
-			c.local.ResetStats()
-		}
-	}
 }
 
 // Alloc reserves a named region of simulated memory.
@@ -402,8 +367,8 @@ func (m *Machine) SpawnProcs(procs int, namePrefix string, body func(p *Proc)) e
 // SpawnProcsOn spawns one Proc on each listed cell, in order. Unlike
 // SpawnProcs the participant set need not start at cell 0 or be
 // contiguous, which lets multi-tenant workloads pin competing programs
-// to disjoint cell ranges of one machine. Every Proc sees
-// NumProcs() == len(cells); cells must be distinct and in range.
+// to disjoint cell ranges of one machine. cells must be distinct and in
+// range.
 func (m *Machine) SpawnProcsOn(cells []int, namePrefix string, body func(p *Proc)) error {
 	if len(cells) < 1 || len(cells) > m.cfg.Cells {
 		return fmt.Errorf("machine: Run with %d procs on %d cells", len(cells), m.cfg.Cells)
@@ -418,7 +383,6 @@ func (m *Machine) SpawnProcsOn(cells []int, namePrefix string, body func(p *Proc
 		}
 		seen[c] = true
 	}
-	procs := len(cells)
 	for _, c := range cells {
 		c := c
 		m.eng.Spawn(fmt.Sprintf("%scell%d", namePrefix, c), func(p *sim.Process) {
@@ -437,7 +401,7 @@ func (m *Machine) SpawnProcsOn(cells []int, namePrefix string, body func(p *Proc
 					panic(r)
 				}
 			}()
-			pr := &Proc{m: m, cell: m.cells[c], sp: p, procs: procs}
+			pr := &Proc{m: m, cell: m.cells[c], sp: p}
 			body(pr)
 		})
 	}

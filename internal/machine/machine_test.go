@@ -98,22 +98,20 @@ func TestLocalCacheLatencyAfterSubCacheEviction(t *testing.T) {
 	// not ring latency. This is the paper's local-cache measurement method.
 	const mb = 1024 * 1024
 	var aTime sim.Time
-	var m *Machine
-	m, _ = runProgram(t, 1, func(p *Proc) {
+	var remote uint64
+	runProgram(t, 1, func(p *Proc) {
 		a := p.Machine().Alloc("A", mb)
 		b := p.Machine().Alloc("B", mb)
 		p.ReadRange(a.Base, mb/8, 8) // A into local cache
 		for i := 0; i < 3; i++ {
 			p.ReadRange(b.Base, mb/8, 8) // B floods the sub-cache
 		}
-		p.Machine().ResetMonitors()
-		t0 := p.Now()
+		t0, remote0 := p.Now(), p.cell.mon.RemoteAccesses
 		p.ReadRange(a.Base, mb/64, 64) // one read per sub-block of A
-		aTime = p.Now() - t0
+		aTime, remote = p.Now()-t0, p.cell.mon.RemoteAccesses-remote0
 	})
-	mon := m.CellAt(0).Monitor()
-	if mon.RemoteAccesses != 0 {
-		t.Errorf("local-cache sweep went remote %d times", mon.RemoteAccesses)
+	if remote != 0 {
+		t.Errorf("local-cache sweep went remote %d times", remote)
 	}
 	perAccess := aTime / sim.Time(mb/64)
 	// 18 cycles = 900ns, plus occasional sub-cache block allocation.
@@ -282,24 +280,25 @@ func TestSpinningGeneratesNoRingTraffic(t *testing.T) {
 	// waiting (hardware spins in the sub-cache).
 	m := New(KSR1(32))
 	flag := m.AllocPadded("flag", 1)
+	var remote uint64
 	_, err := m.Run(2, func(p *Proc) {
 		if p.CellID() == 0 {
 			p.Compute(1000000)
 			p.WriteWord(flag.PaddedSlot(0), 1)
 		} else {
 			p.ReadWord(flag.PaddedSlot(0)) // prime the cache
-			p.Machine().ResetMonitors()
+			remote0 := p.cell.mon.RemoteAccesses
 			p.SpinUntilAtLeast(flag.PaddedSlot(0), 1)
+			remote = p.cell.mon.RemoteAccesses - remote0
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := m.CellAt(1).Monitor()
 	// One refetch after the invalidation is expected; dozens would mean
 	// busy polling.
-	if mon.RemoteAccesses > 2 {
-		t.Errorf("spinner made %d remote accesses, want <= 2", mon.RemoteAccesses)
+	if remote > 2 {
+		t.Errorf("spinner made %d remote accesses, want <= 2", remote)
 	}
 }
 
@@ -487,10 +486,10 @@ func TestGSPOnButterflyPanics(t *testing.T) {
 	_, err := m.Run(1, func(p *Proc) {
 		defer func() {
 			if recover() == nil {
-				t.Error("GetSubPage on non-coherent machine did not panic")
+				t.Error("AcquireSubPage on non-coherent machine did not panic")
 			}
 		}()
-		p.GetSubPage(0x4000)
+		p.AcquireSubPage(0x4000)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -519,8 +518,6 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestMonitorAggregation(t *testing.T) {
 	m, _ := runProgram(t, 4, func(p *Proc) {
-		r := p.Machine().Space().Regions()
-		_ = r
 		p.Compute(10)
 	})
 	var manual Monitor

@@ -4,59 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/coherence"
 	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
-
-// TestResetStatsWarmupMeasure verifies the warm-up/measure idiom: after
-// ResetStats every cumulative counter reads zero, and the final counts
-// reflect only the measured phase.
-func TestResetStatsWarmupMeasure(t *testing.T) {
-	m := New(KSR1(2))
-	r := m.Alloc("data", 64*memory.SubPageSize)
-	var midFab, midMon uint64
-	var midDir coherence.Stats
-	var midEvict uint64
-	_, err := m.Run(2, func(p *Proc) {
-		if p.CellID() != 0 {
-			// Cell 1 owns the region so cell 0's reads cross the ring.
-			p.ReadRange(r.Base, 64, memory.SubPageSize)
-			return
-		}
-		p.Compute(10_000_000) // let the owner finish caching
-		// Warm-up phase: remote reads that populate every counter.
-		p.ReadRange(r.Base, 32, memory.SubPageSize)
-		if m.Fabric().Stats().Transactions == 0 {
-			t.Error("warm-up produced no fabric transactions")
-		}
-		if m.TotalMonitor().Accesses == 0 {
-			t.Error("warm-up produced no monitored accesses")
-		}
-		m.ResetStats()
-		midFab = m.Fabric().Stats().Transactions
-		midMon = m.TotalMonitor().Accesses
-		midDir = m.Directory().Stats()
-		midEvict = m.CellAt(0).LocalCache().Stats().Evictions
-		// Measured phase.
-		p.ReadRange(r.At(32*memory.SubPageSize), 32, memory.SubPageSize)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if midFab != 0 || midMon != 0 || midDir != (coherence.Stats{}) || midEvict != 0 {
-		t.Fatalf("ResetStats left residue: fab=%d mon=%d dir=%+v evict=%d",
-			midFab, midMon, midDir, midEvict)
-	}
-	// The measured delta covers exactly the 32 post-reset remote reads.
-	if got := m.Directory().Stats().ReadFetches; got != 32 {
-		t.Errorf("measured read fetches = %d, want 32", got)
-	}
-	if got := m.Fabric().Stats().Transactions; got == 0 || got > 96 {
-		t.Errorf("measured fabric transactions = %d, want a small nonzero delta", got)
-	}
-}
 
 // TestMachineObservedRun checks the full wiring: an observed machine
 // attaches its recorder, arms the sampler, emits a valid trace, and

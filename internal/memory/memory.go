@@ -33,15 +33,6 @@ type SubPageID uint64
 // SubPage returns the coherence unit containing a.
 func (a Addr) SubPage() SubPageID { return SubPageID(a / SubPageSize) }
 
-// SubBlock returns the index of the 64-byte sub-cache transfer unit.
-func (a Addr) SubBlock() uint64 { return uint64(a) / SubBlockSize }
-
-// Block returns the index of the 2 KB sub-cache allocation unit.
-func (a Addr) Block() uint64 { return uint64(a) / BlockSize }
-
-// Page returns the index of the 16 KB local-cache allocation unit.
-func (a Addr) Page() uint64 { return uint64(a) / PageSize }
-
 // Base returns the first address of the sub-page.
 func (s SubPageID) Base() Addr { return Addr(s) * SubPageSize }
 
@@ -63,22 +54,12 @@ func (r Region) At(i int64) Addr {
 // Word returns the address of the i-th 8-byte word.
 func (r Region) Word(i int64) Addr { return r.At(i * WordSize) }
 
-// Words returns how many 8-byte words fit in the region.
-func (r Region) Words() int64 { return r.Size / WordSize }
-
-// End returns one past the last address.
-func (r Region) End() Addr { return r.Base + Addr(r.Size) }
-
-// Contains reports whether a falls inside the region.
-func (r Region) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
-
 // Space is an SVA allocator and backing store. It is not safe for
 // concurrent use; the simulation engine runs one process at a time, which
 // is exactly the discipline Space relies on.
 type Space struct {
-	next    Addr
-	regions []Region
-	words   map[Addr]uint64
+	next  Addr
+	words map[Addr]uint64
 }
 
 // NewSpace returns an empty address space. The first page is left
@@ -97,7 +78,6 @@ func (s *Space) Alloc(name string, size int64) Region {
 	rounded := (size + PageSize - 1) / PageSize * PageSize
 	r := Region{Name: name, Base: s.next, Size: rounded}
 	s.next += Addr(rounded)
-	s.regions = append(s.regions, r)
 	return r
 }
 
@@ -114,12 +94,6 @@ func (s *Space) AllocWords(name string, n int64) Region {
 func (s *Space) AllocPadded(name string, n int64) Region {
 	return s.Alloc(name, n*SubPageSize)
 }
-
-// Regions returns all allocations in order.
-func (s *Space) Regions() []Region { return s.regions }
-
-// Allocated returns the total bytes reserved so far.
-func (s *Space) Allocated() int64 { return int64(s.next) - PageSize }
 
 // ReadWord returns the 64-bit value stored at word-aligned address a.
 // Unwritten memory reads as zero.

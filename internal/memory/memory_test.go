@@ -10,17 +10,8 @@ func TestGranularities(t *testing.T) {
 	if a.SubPage() != SubPageID(PageSize/SubPageSize+3) {
 		t.Errorf("SubPage = %d", a.SubPage())
 	}
-	if a.Page() != 1 {
-		t.Errorf("Page = %d, want 1", a.Page())
-	}
 	if got := a.SubPage().Base(); got != Addr(PageSize+3*SubPageSize) {
 		t.Errorf("SubPage.Base = %#x", uint64(got))
-	}
-	if Addr(BlockSize).Block() != 1 || Addr(BlockSize-1).Block() != 0 {
-		t.Error("Block boundary wrong")
-	}
-	if Addr(SubBlockSize).SubBlock() != 1 {
-		t.Error("SubBlock boundary wrong")
 	}
 }
 
@@ -37,11 +28,8 @@ func TestAllocPageAligned(t *testing.T) {
 	if b.Size != 2*PageSize {
 		t.Errorf("PageSize+1 alloc rounded to %d, want %d", b.Size, 2*PageSize)
 	}
-	if a.End() > b.Base {
+	if a.Base+Addr(a.Size) > b.Base {
 		t.Error("regions overlap")
-	}
-	if s.Allocated() != a.Size+b.Size {
-		t.Errorf("Allocated = %d", s.Allocated())
 	}
 }
 
@@ -59,12 +47,6 @@ func TestRegionAccessors(t *testing.T) {
 	r := s.AllocWords("w", 10)
 	if r.Word(3) != r.Base+24 {
 		t.Error("Word(3) wrong")
-	}
-	if r.Words() < 10 {
-		t.Errorf("Words = %d, want >= 10", r.Words())
-	}
-	if !r.Contains(r.Base) || !r.Contains(r.End()-1) || r.Contains(r.End()) {
-		t.Error("Contains boundary wrong")
 	}
 }
 
@@ -132,9 +114,10 @@ func TestPropertyAllocDisjoint(t *testing.T) {
 			regs = append(regs, s.Alloc("r", int64(sz%5000)+1))
 			_ = i
 		}
+		end := func(r Region) Addr { return r.Base + Addr(r.Size) }
 		for i := range regs {
 			for j := i + 1; j < len(regs); j++ {
-				if regs[i].End() > regs[j].Base && regs[j].End() > regs[i].Base {
+				if end(regs[i]) > regs[j].Base && end(regs[j]) > regs[i].Base {
 					return false
 				}
 			}

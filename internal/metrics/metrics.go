@@ -25,14 +25,6 @@ func Speedup(t1, tp sim.Time) float64 {
 	return float64(t1) / float64(tp)
 }
 
-// Efficiency returns Speedup/p.
-func Efficiency(t1, tp sim.Time, p int) float64 {
-	if p == 0 {
-		return 0
-	}
-	return Speedup(t1, tp) / float64(p)
-}
-
 // SerialFraction returns the Karp-Flatt metric
 //
 //	f = (1/S - 1/p) / (1 - 1/p)

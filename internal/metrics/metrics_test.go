@@ -12,11 +12,8 @@ func TestSpeedupEfficiency(t *testing.T) {
 	if got := Speedup(100, 25); got != 4 {
 		t.Errorf("Speedup = %v, want 4", got)
 	}
-	if got := Efficiency(100, 25, 8); got != 0.5 {
-		t.Errorf("Efficiency = %v, want 0.5", got)
-	}
-	if Speedup(100, 0) != 0 || Efficiency(100, 0, 0) != 0 {
-		t.Error("zero guards failed")
+	if Speedup(100, 0) != 0 {
+		t.Error("zero guard failed")
 	}
 }
 

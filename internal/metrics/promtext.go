@@ -25,8 +25,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		var err error
 		switch {
-		case m.counter != nil:
-			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, m.counter.Value())
 		case m.counterFunc != nil:
 			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, m.counterFunc())
 		case m.gaugeFunc != nil:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Fleet metrics: a small stdlib-only registry of counters, gauges, and
@@ -14,25 +13,10 @@ import (
 // submit-to-result latency distributions, queue depth, shed and retry
 // counts — and exports them in the Prometheus text exposition format.
 //
-// Concurrency: counters and histograms are written from job worker
-// goroutines while /v1/metrics scrapes, so Counter uses an atomic and
-// Histogram a mutex; Gauge/Counter funcs are sampled at scrape time and
-// must be safe to call concurrently (the jobq/resultcache Stats methods
-// are).
-
-// Counter is a monotonically increasing metric.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+// Concurrency: histograms are written from job worker goroutines while
+// /v1/metrics scrapes, so Histogram takes a mutex; counter and gauge
+// funcs are sampled at scrape time and must be safe to call concurrently
+// (the jobq/resultcache Stats methods are).
 
 // Histogram is a fixed-bucket histogram of float64 observations.
 // Buckets are cumulative in the exposition (Prometheus `le` semantics);
@@ -137,7 +121,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 // metric is one registered name: exactly one of the fields is set.
 type metric struct {
 	help        string
-	counter     *Counter
 	counterFunc func() uint64
 	gaugeFunc   func() float64
 	hist        *Histogram
@@ -167,13 +150,6 @@ func (r *Registry) add(name, help string, m *metric) {
 		panic(fmt.Sprintf("metrics: %q registered twice", name))
 	}
 	r.metrics[name] = m
-}
-
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.add(name, help, &metric{counter: c})
-	return c
 }
 
 // CounterFunc registers a counter sampled at scrape time.

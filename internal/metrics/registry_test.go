@@ -4,17 +4,9 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(41)
-	if got := c.Value(); got != 42 {
-		t.Fatalf("Value() = %d, want 42", got)
-	}
-}
 
 func TestNewHistogramValidation(t *testing.T) {
 	for _, bad := range [][]float64{nil, {}, {1, 1}, {2, 1}} {
@@ -77,10 +69,11 @@ func TestQuantile(t *testing.T) {
 
 func TestRegistryPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "")
+	zero := func() uint64 { return 0 }
+	r.CounterFunc("a_total", "", zero)
 	for name, f := range map[string]func(){
-		"dup":   func() { r.Counter("a_total", "") },
-		"empty": func() { r.Counter("", "") },
+		"dup":   func() { r.CounterFunc("a_total", "", zero) },
+		"empty": func() { r.CounterFunc("", "", zero) },
 	} {
 		func() {
 			defer func() {
@@ -98,8 +91,7 @@ func TestRegistryPanics(t *testing.T) {
 // trailing +Inf, _sum and _count.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("ksrsimd_jobs_submitted_total", "Jobs accepted for execution.")
-	c.Add(7)
+	r.CounterFunc("ksrsimd_jobs_submitted_total", "Jobs accepted for execution.", func() uint64 { return 7 })
 	r.GaugeFunc("ksrsimd_queue_depth", "Jobs waiting to run.", func() float64 { return 3 })
 	r.CounterFunc("ksrsimd_cache_hits_total", "", func() uint64 { return 12 })
 	h := r.Histogram("ksrsimd_job_latency_seconds", "Submit-to-result latency.", []float64{0.1, 1})
@@ -135,7 +127,7 @@ ksrsimd_queue_depth 3
 
 func TestParsePrometheusRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "help text").Add(5)
+	r.CounterFunc("a_total", "help text", func() uint64 { return 5 })
 	h := r.Histogram("lat_seconds", "", []float64{0.5, 1})
 	h.Observe(0.25)
 	h.Observe(0.75)
@@ -251,9 +243,10 @@ func TestRenderHistogramEdgeCases(t *testing.T) {
 // -race.
 func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("writes_total", "")
+	var writes atomic.Uint64
+	r.CounterFunc("writes_total", "", writes.Load)
 	h := r.Histogram("lat_seconds", "", []float64{0.001, 0.01, 0.1, 1})
-	r.GaugeFunc("depth", "", func() float64 { return float64(c.Value() % 7) })
+	r.GaugeFunc("depth", "", func() float64 { return float64(writes.Load() % 7) })
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -267,7 +260,7 @@ func TestConcurrentScrape(t *testing.T) {
 					return
 				default:
 				}
-				c.Inc()
+				writes.Add(1)
 				h.Observe(float64(i%100) / 100)
 			}
 		}()

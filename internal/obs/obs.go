@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -277,14 +276,6 @@ type Recorder struct {
 	final bool
 }
 
-// Label returns the recorder's session-unique label ("" on nil).
-func (r *Recorder) Label() string {
-	if r == nil {
-		return ""
-	}
-	return r.label
-}
-
 // Enabled reports whether any of the categories in c are being traced.
 func (r *Recorder) Enabled(c Category) bool { return r != nil && r.mask&c != 0 }
 
@@ -344,14 +335,6 @@ func (r *Recorder) CompleteAt(c Category, tid int, name string, start, end sim.T
 		end = start
 	}
 	r.events = append(r.events, event{name: name, cat: c, ph: 'X', ts: start, dur: end - start, tid: tid, args: args})
-}
-
-// Complete records a duration slice from start to the current time.
-func (r *Recorder) Complete(c Category, tid int, name string, start sim.Time, args ...Arg) {
-	if r == nil || r.mask&c == 0 {
-		return
-	}
-	r.CompleteAt(c, tid, name, start, r.Now(), args...)
 }
 
 // Count records a counter track sample (rendered as a stacked chart by
@@ -563,22 +546,6 @@ func (s *Session) TraceJSON() []byte {
 	}
 	b.WriteString("\n]}\n")
 	return b.Bytes()
-}
-
-// WriteTrace writes TraceJSON to w.
-func (s *Session) WriteTrace(w io.Writer) error {
-	_, err := w.Write(s.TraceJSON())
-	return err
-}
-
-// Events returns how many trace events the session holds (across all
-// recorders), for smoke checks and tests.
-func (s *Session) Events() int {
-	n := 0
-	for _, r := range s.sorted() {
-		n += len(r.events)
-	}
-	return n
 }
 
 // MachineRecords returns the manifest record of every observed machine,

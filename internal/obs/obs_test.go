@@ -61,7 +61,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	r.Attach(nil, "ksr1", 2, 1, nil)
 	r.Instant(CatRing, 0, "e")
-	r.Complete(CatRing, 0, "e", 0)
 	r.CompleteAt(CatRing, 0, "e", 0, 1)
 	r.Count(CatRing, 0, "c", 1)
 	r.SetThreadName(0, "cell0")
@@ -72,7 +71,7 @@ func TestNilSafety(t *testing.T) {
 	if r.SimHooks() != nil {
 		t.Error("nil recorder produced sim hooks")
 	}
-	if r.Label() != "" || r.Now() != 0 || r.EventsFired() != 0 || r.SampleInterval() != 0 {
+	if r.Now() != 0 || r.EventsFired() != 0 || r.SampleInterval() != 0 {
 		t.Error("nil recorder accessors returned nonzero")
 	}
 	var ts *TimeSeries
@@ -124,7 +123,7 @@ func buildTestSession() *Session {
 	a.SetFinal(1500, []Counter{{Name: "fabric.transactions", Value: 3}})
 
 	now = 250
-	b.Complete(CatSync, 1, "barrier.mcs", 0)
+	b.CompleteAt(CatSync, 1, "barrier.mcs", 0, now)
 	b.SetFinal(250, nil)
 	return s
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strconv"
 
 	"repro/internal/metrics"
@@ -94,12 +93,6 @@ func (s *Session) TelemetryCSV() []byte {
 		}
 	}
 	return b.Bytes()
-}
-
-// WriteTelemetryCSV writes TelemetryCSV to w.
-func (s *Session) WriteTelemetryCSV(w io.Writer) error {
-	_, err := w.Write(s.TelemetryCSV())
-	return err
 }
 
 // RenderTelemetry renders each recorder's sampled columns as ASCII

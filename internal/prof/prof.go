@@ -151,14 +151,6 @@ type Recorder struct {
 	cells []cellProf
 }
 
-// Label returns the recorder's session-unique label ("" on nil).
-func (r *Recorder) Label() string {
-	if r == nil {
-		return ""
-	}
-	return r.label
-}
-
 // cell returns cell id's accumulator, growing the dense slice on first
 // touch.
 func (r *Recorder) cell(id int) *cellProf {

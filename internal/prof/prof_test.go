@@ -25,9 +25,6 @@ func TestNilSessionAndRecorderAreSafe(t *testing.T) {
 	if h := r.DirectoryHooks(); h != nil {
 		t.Fatalf("nil recorder produced directory hooks")
 	}
-	if got := r.Label(); got != "" {
-		t.Fatalf("nil recorder label = %q", got)
-	}
 }
 
 func TestChargeAndAccessAttribution(t *testing.T) {

@@ -288,17 +288,6 @@ func writeAtomic(dir, path string, b []byte) error {
 	return nil
 }
 
-// Keys returns every cached key from most to least recently used.
-func (c *Cache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*node).entry.Key)
-	}
-	return out
-}
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

@@ -419,6 +419,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Metrics returns the server's metric registry (tests and embedders).
+//
+//lint:ignore ksrlint/deadapi read by bench/ksrbench, a separate module that ksrlint does not load
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // handleMetrics serves the registry in the Prometheus text exposition
@@ -540,6 +542,8 @@ func (s *Server) Drain(timeout time.Duration) bool {
 // Kill simulates a crash for the chaos harness: abandon queued work,
 // cancel running work, write nothing. The journal keeps only what
 // Append already fsync'd — exactly what SIGKILL would leave behind.
+//
+//lint:ignore ksrlint/deadapi the chaos harness's crash primitive: it kills the server in-process without a drain
 func (s *Server) Kill() {
 	s.draining.Store(true)
 	s.queue.Kill()

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/jobq"
 	"repro/internal/resultcache"
 	"repro/internal/server/api"
 )
@@ -564,6 +565,55 @@ func TestUserCancelIsJournaledTerminal(t *testing.T) {
 	}
 	if after.State != api.StateCancelled {
 		t.Errorf("user-cancelled job resurrected as %s", after.State)
+	}
+}
+
+// TestMalformedJobFailsOnce: a config the experiment rejects ends the
+// job failed with the validation message and journals its terminal
+// record, so a restart on the same journal leaves it failed instead of
+// running it again. Before validation, this saturation config panicked
+// in a sweep worker and took the daemon down on every replay.
+func TestMalformedJobFailsOnce(t *testing.T) {
+	env := newDurableEnv(t)
+	s1, ts1 := env.start(nil)
+	spec := api.JobSpec{Experiment: "saturation", Config: json.RawMessage(`{"Accesses":0}`)}
+	h := submitOne(t, ts1.URL, spec)
+	if st := waitJob(t, ts1.URL, h.ID); st.State != api.StateFailed || !strings.Contains(st.Error, "Accesses") {
+		t.Fatalf("malformed job: %+v, want failed naming Accesses", st)
+	}
+	s1.Kill()
+	ts1.Close()
+
+	j, records, err := jobq.OpenJournal(filepath.Join(env.dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	replayed := jobq.Reduce(records)
+	if len(replayed) != 1 || replayed[0].Terminal != jobq.RecFail || replayed[0].Attempts != 1 {
+		t.Fatalf("journal replays %+v, want one job failed after one attempt", replayed)
+	}
+
+	var runs atomic.Int32
+	s2, ts2 := env.start(func(c *Config) {
+		c.BeforeRun = func(context.Context, string, int) error {
+			runs.Add(1)
+			return nil
+		}
+	})
+	defer func() {
+		s2.Drain(5 * time.Second)
+		ts2.Close()
+	}()
+	if rec := s2.Recovery(); rec.Requeued != 0 || rec.Terminal != 1 {
+		t.Fatalf("recovery = %+v, want the failed job resurrected, nothing requeued", rec)
+	}
+	var after api.JobStatus
+	if code := getJSON(t, ts2.URL+"/v1/jobs/"+h.ID, &after); code != http.StatusOK || after.State != api.StateFailed {
+		t.Errorf("after restart: status %d, %+v, want failed", code, after)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("restarted server ran the failed job %d times", n)
 	}
 }
 

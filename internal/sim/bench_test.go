@@ -43,7 +43,7 @@ func BenchmarkResourceHandoff(b *testing.B) {
 	for i := 0; i < 2; i++ {
 		e.Spawn("p", func(p *Process) {
 			for j := 0; j < b.N/2; j++ {
-				r.Acquire(p)
+				acquire(r, p)
 				p.Sleep(1)
 				r.Release()
 			}

@@ -10,9 +10,6 @@ type Cond struct {
 	name     string
 	blockWhy string // precomputed park reason, so Wait never allocates
 	waiters  []*Process
-
-	broadcasts uint64
-	woken      uint64
 }
 
 // NewCond creates a condition variable.
@@ -48,17 +45,9 @@ func (c *Cond) Broadcast() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	c.broadcasts++
 	for i, p := range c.waiters {
-		c.woken++
 		c.eng.scheduleResume(0, p)
 		c.waiters[i] = nil
 	}
 	c.waiters = c.waiters[:0]
 }
-
-// Waiters returns the number of processes currently waiting.
-func (c *Cond) Waiters() int { return len(c.waiters) }
-
-// Stats returns the number of broadcasts issued and processes woken.
-func (c *Cond) Stats() (broadcasts, woken uint64) { return c.broadcasts, c.woken }

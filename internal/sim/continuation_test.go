@@ -22,13 +22,15 @@ func hookLog(e *Engine) *strings.Builder {
 
 // contendedRun is the scenario both forms of the calls run: four
 // processes take a one-unit resource, hold it, release it, and wait on a
-// cond that a timer broadcasts, ten times each. chained selects the
-// continuation forms, one chain per iteration.
-func contendedRun(t *testing.T, chained bool) (log string, e *Engine, r *Resource) {
+// cond that a timer broadcasts, ten times each. chained runs each
+// iteration as one chain; otherwise only the acquire is a chain and the
+// hold and the wait block. It returns the hook log, the engine and the
+// total time spent queued for the resource.
+func contendedRun(t *testing.T, chained bool) (log string, e *Engine, queued Time) {
 	t.Helper()
 	e = NewEngine()
 	b := hookLog(e)
-	r = NewResource(e, "slot", 1)
+	r := NewResource(e, "slot", 1)
 	c := NewCond(e, "tick")
 	var tick func()
 	tick = func() {
@@ -58,27 +60,28 @@ func contendedRun(t *testing.T, chained bool) (log string, e *Engine, r *Resourc
 					p.Run(func() { r.AcquireThen(p, granted) })
 					continue
 				}
-				waits += r.Acquire(p)
+				waits += acquire(r, p)
 				p.Sleep(hold)
 				r.Release()
 				c.Wait(p)
 			}
 			fmt.Fprintf(b, "%s waited %d\n", p.Name(), waits)
+			queued += waits
 		})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return b.String(), e, r
+	return b.String(), e, queued
 }
 
 // TestContinuationMatchesBlocking checks the byte-identity invariant at
 // the engine level: the Then forms produce exactly the hook calls, event
-// count, clock and resource accounting of the blocking calls, in fewer
+// count, clock and queueing times of the blocking calls, in fewer
 // goroutine handoffs.
 func TestContinuationMatchesBlocking(t *testing.T) {
-	blockLog, be, br := contendedRun(t, false)
-	chainLog, ce, cr := contendedRun(t, true)
+	blockLog, be, bq := contendedRun(t, false)
+	chainLog, ce, cq := contendedRun(t, true)
 	if blockLog != chainLog {
 		t.Fatalf("hook calls differ:\nblocking:\n%s\nchained:\n%s", blockLog, chainLog)
 	}
@@ -86,11 +89,10 @@ func TestContinuationMatchesBlocking(t *testing.T) {
 		t.Errorf("chained run: %d events ending at %v, blocking %d at %v",
 			ce.EventsExecuted(), ce.Now(), be.EventsExecuted(), be.Now())
 	}
-	if br.Grants() != cr.Grants() || br.TotalWait() != cr.TotalWait() || br.MaxQueue() != cr.MaxQueue() {
-		t.Errorf("resource accounting differs: blocking %d/%v/%d, chained %d/%v/%d",
-			br.Grants(), br.TotalWait(), br.MaxQueue(), cr.Grants(), cr.TotalWait(), cr.MaxQueue())
+	if bq != cq {
+		t.Errorf("time queued differs: blocking %v, chained %v", bq, cq)
 	}
-	if br.TotalWait() == 0 {
+	if bq == 0 {
 		t.Error("scenario never contended the resource")
 	}
 	if ce.Handoffs() >= be.Handoffs() {
@@ -125,7 +127,7 @@ func recoverMessage(t *testing.T, f func(p *Process)) string {
 		defer func() {
 			msg = fmt.Sprint(recover())
 			e.stepping = nil
-			e.Stop()
+			e.stopped = true
 		}()
 		f(p)
 	})
@@ -150,7 +152,7 @@ func TestContinuationMisusePanics(t *testing.T) {
 			p.Run(func() { p.SleepThen(1, func() { p.Sleep(1) }) })
 		}, "blocking call (sleep) inside a continuation step of process p"},
 		{"wait in step", func(p *Process) {
-			c := NewCond(p.Engine(), "c")
+			c := NewCond(p.eng, "c")
 			p.Run(func() { c.Wait(p) })
 		}, "blocking call (cond c) inside a continuation step"},
 		{"nested run", func(p *Process) {

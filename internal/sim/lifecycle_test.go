@@ -52,7 +52,7 @@ func TestShutdownReleasesDeadlockedGoroutines(t *testing.T) {
 	r := NewResource(e, "r", 1)
 	for i := 0; i < 4; i++ {
 		e.Spawn("p", func(p *Process) {
-			r.Acquire(p)
+			acquire(r, p)
 			p.Sleep(10)
 			// Never released: everyone after the first wedges.
 		})
@@ -75,7 +75,7 @@ func TestShutdownReleasesStoppedEngine(t *testing.T) {
 			}
 		})
 	}
-	e.Schedule(55, e.Stop)
+	e.Schedule(55, func() { e.stopped = true })
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

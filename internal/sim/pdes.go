@@ -139,12 +139,6 @@ func (pd *Partitioned) SetWorkers(n int) {
 	pd.workers = n
 }
 
-// Parts returns the number of partitions.
-func (pd *Partitioned) Parts() int { return len(pd.parts) }
-
-// Part returns partition i's engine.
-func (pd *Partitioned) Part(i int) *Engine { return pd.parts[i] }
-
 // Lookahead returns the minimum cross-partition delay.
 func (pd *Partitioned) Lookahead() Time { return pd.lookahead }
 
@@ -192,7 +186,7 @@ func (pd *Partitioned) Send(from, to int, delay Time, fn func()) {
 }
 
 // Run drives all partitions to completion and returns the first error in
-// partition order (deadline, livelock, or Stop outcomes surface exactly
+// partition order (deadline or livelock outcomes surface exactly
 // as under Engine.Run). When every queue drains, processes still parked
 // across the partitions mean a global deadlock; the report aggregates
 // every partition's blocked processes.

@@ -7,15 +7,10 @@ package sim
 type Resource struct {
 	eng      *Engine
 	name     string
-	blockWhy string // precomputed park reason, so Acquire never allocates
+	blockWhy string // precomputed park reason, so AcquireThen never allocates
 	capacity int
 	inUse    int
 	q        []waiter
-
-	// Stats.
-	grants    uint64
-	waitTotal Time
-	maxQueue  int
 }
 
 type waiter struct {
@@ -35,47 +30,19 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 // Name returns the resource's name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of waiters.
-func (r *Resource) QueueLen() int { return len(r.q) }
-
-// Acquire blocks process p until a unit is available, then claims it.
-// It returns the simulated time spent waiting.
-//
-//ksr:hotpath
-func (r *Resource) Acquire(p *Process) Time {
-	if r.inUse < r.capacity {
-		r.inUse++
-		r.grants++
-		return 0
-	}
-	start := r.eng.now
-	r.q = append(r.q, waiter{proc: p, arrived: start})
-	if len(r.q) > r.maxQueue {
-		r.maxQueue = len(r.q)
-	}
-	p.block(r.blockWhy)
-	w := r.eng.now - start
-	r.waitTotal += w
-	return w
-}
-
-// AcquireThen is the continuation form of Acquire, for use inside p's
-// Run step: it claims a unit and calls granted with the simulated time
-// spent waiting — at once when a unit is free, otherwise as the step of
-// the wake the FIFO grant fires. granted may be nil.
+// AcquireThen claims a unit for p, inside p's Run step, and calls
+// granted with the simulated time spent waiting — at once when a unit is
+// free, otherwise as the step of the wake the FIFO grant fires. granted
+// may be nil.
 //
 //ksr:hotpath
 func (r *Resource) AcquireThen(p *Process, granted func(wait Time)) {
 	p.mustStep()
 	if r.inUse < r.capacity {
 		r.inUse++
-		r.grants++
 		if granted != nil {
 			granted(0)
 		}
@@ -83,24 +50,8 @@ func (r *Resource) AcquireThen(p *Process, granted func(wait Time)) {
 	}
 	start := r.eng.now
 	r.q = append(r.q, waiter{proc: p, arrived: start})
-	if len(r.q) > r.maxQueue {
-		r.maxQueue = len(r.q)
-	}
-	p.grantRes, p.grantStart, p.granted = r, start, granted
+	p.grantStart, p.granted = start, granted
 	p.armBlocked(r.blockWhy, p.grantStep)
-}
-
-// TryAcquire claims a unit if one is free without waiting, reporting
-// whether it succeeded.
-//
-//ksr:hotpath
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && len(r.q) == 0 {
-		r.inUse++
-		r.grants++
-		return true
-	}
-	return false
 }
 
 // AcquireAsync queues fn to run (in engine context) as soon as a unit can
@@ -111,14 +62,10 @@ func (r *Resource) TryAcquire() bool {
 func (r *Resource) AcquireAsync(fn func()) {
 	if r.inUse < r.capacity && len(r.q) == 0 {
 		r.inUse++
-		r.grants++
 		r.eng.Schedule(0, fn)
 		return
 	}
 	r.q = append(r.q, waiter{fn: fn, arrived: r.eng.now})
-	if len(r.q) > r.maxQueue {
-		r.maxQueue = len(r.q)
-	}
 }
 
 // Release returns one unit and hands it to the head of the queue, if any.
@@ -137,19 +84,9 @@ func (r *Resource) Release() {
 	w := r.q[0]
 	copy(r.q, r.q[1:])
 	r.q = r.q[:len(r.q)-1]
-	r.grants++
 	if w.proc != nil {
 		r.eng.scheduleResume(0, w.proc)
 	} else {
 		r.eng.Schedule(0, w.fn)
 	}
 }
-
-// Grants returns the total number of successful acquisitions.
-func (r *Resource) Grants() uint64 { return r.grants }
-
-// TotalWait returns the cumulative simulated time processes spent queued.
-func (r *Resource) TotalWait() Time { return r.waitTotal }
-
-// MaxQueue returns the high-water mark of the wait queue.
-func (r *Resource) MaxQueue() int { return r.maxQueue }

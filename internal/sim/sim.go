@@ -38,8 +38,6 @@ import (
 type Time int64
 
 const (
-	// Nanosecond is the base unit of simulated time.
-	Nanosecond Time = 1
 	// Microsecond is 1000 simulated nanoseconds.
 	Microsecond Time = 1000
 	// Millisecond is 1e6 simulated nanoseconds.
@@ -133,7 +131,7 @@ type Engine struct {
 	nlive    int      // spawned but not finished
 	handoffs uint64   // control-token transfers between goroutines
 
-	stopped  bool
+	stopped  bool // ends Run after the current event; tests set it to abandon a run mid-step
 	shutdown bool
 	maxTime  Time // 0 = unlimited
 	pauseAt  Time // window limit while inside RunWindow; 0 = no window
@@ -182,11 +180,15 @@ func (e *Engine) EventsExecuted() uint64 { return e.events }
 // and neither does a continuation step. Like EventsExecuted it is a pure
 // function of the event order, so it measures context-switch work
 // independently of the host.
+//
+//lint:ignore ksrlint/deadapi the host-independent context-switch count that the continuation tests and benchmarks gate on
 func (e *Engine) Handoffs() uint64 { return e.handoffs }
 
 // SetDeadline makes Run return once simulated time reaches t. A zero
 // deadline (the default) means no limit. A Run abandoned at its deadline
 // leaves parked process goroutines behind; call Shutdown to release them.
+//
+//lint:ignore ksrlint/deadapi the lifecycle and leak tests abandon runs at a deadline with it
 func (e *Engine) SetDeadline(t Time) { e.maxTime = t }
 
 // alloc takes a callback event from the pool.
@@ -301,7 +303,6 @@ type Process struct {
 	// A contended AcquireThen's bookkeeping, kept here rather than in a
 	// closure so the grant allocates nothing; grantStep is p.finishGrant,
 	// bound once at Spawn.
-	grantRes   *Resource
 	grantStart Time
 	granted    func(wait Time)
 	grantStep  func()
@@ -312,9 +313,6 @@ func (p *Process) Name() string { return p.name }
 
 // ID returns the spawn-ordered process id (0, 1, ...).
 func (p *Process) ID() int { return p.id }
-
-// Engine returns the engine that owns p.
-func (p *Process) Engine() *Engine { return p.eng }
 
 // Now returns the current simulated time.
 func (p *Process) Now() Time { return p.eng.now }
@@ -539,7 +537,7 @@ func (p *Process) block(why string) {
 // time only: one goroutine handoff per chain instead of one per park.
 //
 // Steps run in other processes' goroutines, so they must never run
-// simulated-program code, block (Sleep, Acquire, Wait, Run all panic
+// simulated-program code, block (Sleep, Wait, Run all panic
 // inside a step), or panic to unwind p. Run must be called by p itself.
 func (p *Process) Run(step func()) {
 	e := p.eng
@@ -598,18 +596,15 @@ func (p *Process) armBlocked(why string, next func()) {
 	p.blockSince = p.eng.now
 }
 
-// finishGrant is the step of a contended AcquireThen: it settles the
-// resource's wait accounting, as Acquire does after its park, and hands
-// the wait to the caller's continuation.
+// finishGrant is the step of a contended AcquireThen: it hands the time
+// spent queued to the caller's continuation.
 //
 //ksr:hotpath
 func (p *Process) finishGrant() {
-	r, next := p.grantRes, p.granted
-	p.grantRes, p.granted = nil, nil
-	w := p.eng.now - p.grantStart
-	r.waitTotal += w
+	next := p.granted
+	p.granted = nil
 	if next != nil {
-		next(w)
+		next(p.eng.now - p.grantStart)
 	}
 }
 
@@ -711,13 +706,12 @@ func (e *LivelockError) Error() string {
 // advancing. 0 (the default) disarms the watchdog.
 func (e *Engine) SetWatchdog(limit int) { e.watchdogLimit = limit }
 
-// Run executes events until none remain, the deadline passes, or Stop is
-// called. It returns a *DeadlockError if processes remain blocked with an
+// Run executes events until none remain or the deadline passes. It returns a *DeadlockError if processes remain blocked with an
 // empty event queue, a *LivelockError if the armed watchdog trips, and
 // nil otherwise.
 //
 // A Run that ends with processes still parked (deadline, deadlock,
-// livelock, Stop) leaves their goroutines alive; call Shutdown to release
+// livelock) leaves their goroutines alive; call Shutdown to release
 // them once the engine is abandoned.
 func (e *Engine) Run() error {
 	if e.shutdown {
@@ -740,7 +734,7 @@ func (e *Engine) Run() error {
 // one stopped. An exhausted queue ends the window without a deadlock
 // check — under the PDES window protocol, locally-blocked processes may
 // be waiting on messages another partition will deliver at the next
-// barrier. Deadline, watchdog, and Stop behave as in Run.
+// barrier. Deadline and watchdog behave as in Run.
 func (e *Engine) RunWindow(limit Time) error {
 	if e.shutdown {
 		panic("sim: RunWindow on a shut-down engine")
@@ -761,14 +755,10 @@ func (e *Engine) RunWindow(limit Time) error {
 	return err
 }
 
-// Stop makes Run return after the current event completes. Callable from
-// events; a process calling Stop should subsequently park or return.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Shutdown releases every parked process goroutine and marks the engine
 // dead. It must be called only when the engine is not running (before Run,
-// or after Run has returned): engines abandoned after a deadline, a
-// deadlock or livelock error, or a Stop would otherwise leak one goroutine
+// or after Run has returned): engines abandoned after a deadline or a
+// deadlock or livelock error would otherwise leak one goroutine
 // per unfinished process for the life of the program. Unfinished process
 // bodies are unwound via runtime.Goexit (their deferred calls run; bodies
 // that have not started yet never do). Shutdown is idempotent, and the

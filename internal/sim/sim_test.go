@@ -7,6 +7,13 @@ import (
 	"testing/quick"
 )
 
+// acquire claims a unit of r for p in FIFO order and returns the time p
+// spent queued: AcquireThen run to completion.
+func acquire(r *Resource, p *Process) (wait Time) {
+	p.Run(func() { r.AcquireThen(p, func(w Time) { wait = w }) })
+	return wait
+}
+
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		t    Time
@@ -199,13 +206,13 @@ func TestDeadlockErrorDetail(t *testing.T) {
 		c.Wait(p)
 	})
 	e.Spawn("holder", func(p *Process) {
-		r.Acquire(p)
+		acquire(r, p)
 		p.Sleep(100) // sim advances to 100, then holder blocks too
 		c.Wait(p)
 	})
 	e.Spawn("queued", func(p *Process) {
 		p.Sleep(10)
-		r.Acquire(p) // waits forever behind holder
+		acquire(r, p) // waits forever behind holder
 	})
 	err := e.Run()
 	derr, ok := err.(*DeadlockError)
@@ -276,16 +283,17 @@ func TestWatchdogQuietOnProgress(t *testing.T) {
 	}
 }
 
+// TestStop: a set stopped flag ends Run after the current event.
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.Schedule(10, func() { fired++; e.Stop() })
+	e.Schedule(10, func() { fired++; e.stopped = true })
 	e.Schedule(20, func() { fired++ })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 1 {
-		t.Errorf("%d events fired after Stop, want 1", fired)
+		t.Errorf("%d events fired after the stop, want 1", fired)
 	}
 }
 
@@ -296,7 +304,7 @@ func TestResourceFIFO(t *testing.T) {
 	hold := func(name string, arrive Time) {
 		e.Spawn(name, func(p *Process) {
 			p.Sleep(arrive)
-			r.Acquire(p)
+			acquire(r, p)
 			order = append(order, name)
 			p.Sleep(100)
 			r.Release()
@@ -325,7 +333,7 @@ func TestResourceCapacityParallelism(t *testing.T) {
 	r := NewResource(e, "slots", 2)
 	for i := 0; i < 3; i++ {
 		e.Spawn(fmt.Sprint("p", i), func(p *Process) {
-			r.Acquire(p)
+			acquire(r, p)
 			p.Sleep(100)
 			r.Release()
 		})
@@ -342,13 +350,13 @@ func TestResourceWaitAccounting(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "s", 1)
 	e.Spawn("a", func(p *Process) {
-		r.Acquire(p)
+		acquire(r, p)
 		p.Sleep(100)
 		r.Release()
 	})
 	var waited Time
 	e.Spawn("b", func(p *Process) {
-		waited = r.Acquire(p)
+		waited = acquire(r, p)
 		r.Release()
 	})
 	if err := e.Run(); err != nil {
@@ -357,27 +365,6 @@ func TestResourceWaitAccounting(t *testing.T) {
 	if waited != 100 {
 		t.Errorf("b waited %v, want 100", waited)
 	}
-	if r.TotalWait() != 100 {
-		t.Errorf("TotalWait = %v, want 100 (no double counting)", r.TotalWait())
-	}
-	if r.Grants() != 2 {
-		t.Errorf("Grants = %d, want 2", r.Grants())
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "s", 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on idle resource failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire on busy resource succeeded")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
 }
 
 func TestResourceAcquireAsync(t *testing.T) {
@@ -385,7 +372,7 @@ func TestResourceAcquireAsync(t *testing.T) {
 	r := NewResource(e, "s", 1)
 	var order []string
 	e.Spawn("holder", func(p *Process) {
-		r.Acquire(p)
+		acquire(r, p)
 		p.Sleep(50)
 		order = append(order, "holder-release")
 		r.Release()
@@ -431,10 +418,6 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 	if woken != 5 {
 		t.Errorf("woken = %d, want 5", woken)
 	}
-	b, w := c.Stats()
-	if b != 1 || w != 5 {
-		t.Errorf("Stats = (%d, %d), want (1, 5)", b, w)
-	}
 }
 
 func TestCondLateWaiterNeedsNextBroadcast(t *testing.T) {
@@ -473,7 +456,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 				rng := NewRNG(uint64(p.ID()) + 7)
 				for j := 0; j < 5; j++ {
 					p.Sleep(Time(rng.Intn(40) + 1))
-					r.Acquire(p)
+					acquire(r, p)
 					p.Sleep(20)
 					r.Release()
 				}
