@@ -206,16 +206,16 @@ func BenchmarkTable1CG(b *testing.B) {
 func BenchmarkCGPoststore(b *testing.B) {
 	cfg := experiments.DefaultCGExperiment()
 	cfg.Procs = []int{16, 32}
-	var imp map[int]float64
+	var res experiments.CGPoststoreResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		imp, err = experiments.RunCGPoststoreAblation(cfg)
+		res, err = experiments.RunCGPoststoreAblation(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(imp[16], "pct-gain-P16")
-	b.ReportMetric(imp[32], "pct-gain-P32")
+	b.ReportMetric(res.Improvement[0], "pct-gain-P16")
+	b.ReportMetric(res.Improvement[1], "pct-gain-P32")
 }
 
 // BenchmarkTable2IS regenerates Table 2 (IS) and the IS half of Figure 8.

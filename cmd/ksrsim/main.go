@@ -10,9 +10,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
@@ -22,7 +22,16 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `ksrsim — KSR-1 scalability study reproduction
+	fmt.Fprint(os.Stderr, usageHead)
+	for _, e := range experiments.ExperimentInfos() {
+		if _, ok := experimentCommand(e.Name); ok {
+			fmt.Fprintf(os.Stderr, "  %-11s %s\n", e.Name, e.Describe)
+		}
+	}
+	fmt.Fprint(os.Stderr, usageTail)
+}
+
+const usageHead = `ksrsim — KSR-1 scalability study reproduction
 
 Usage: ksrsim [global flags] <command> [flags]
 
@@ -52,23 +61,12 @@ Observability (see docs/OBSERVABILITY.md):
   -profile-csv file  write the per-cell phase breakdown as CSV ("-" = stdout)
   -profile-top n     rows in the profile report's top-N table (default 16)
 
-Commands:
-  latency     Figure 2: read/write latencies per memory-hierarchy level
-  alloc       Section 3.1: block/page allocation overheads
-  locks       Figure 3: hardware exclusive vs software read-write lock
-  barriers    Figure 4 (KSR-1) / Figure 5 (-machine ksr2 -cells 64)
-  compare     Section 3.2.3: barriers on Symmetry (bus) and Butterfly (MIN)
-  ep          Section 3.3: Embarrassingly Parallel scalability
-  bigep       extension: EP on the partitioned two-level ring (to 1088 cells)
-  biglatency  extension: cross-ring fetch latency on the two-level ring
-  cg          Table 1 + Figure 8: Conjugate Gradient
-  is          Table 2 + Figure 8: Integer Sort
-  sp          Table 3: Scalar Pentadiagonal (-opts for Table 4)
-  bt          extension: Block Tridiagonal (the third code of ref [6])
-  qlocks      extension: Anderson/MCS queue locks vs the hardware lock
-  saturation  extension: offered-load sweep of the ring's slot capacity
-  capacity    extension: the superunitary-speedup (cache capacity) effect
-  faults      extension: degradation sweep under injected faults (see docs/FAULTS.md)
+Experiment commands (flags are the fields of the experiment's config, as
+in a ksrsimd job spec; see docs/SERVER.md):
+`
+
+const usageTail = `
+Other commands:
   workload    declarative scenario engine: run/record/replay/perturb
               synthetic access+sync workloads (see docs/WORKLOADS.md)
   experiments list every registered experiment with its description
@@ -82,47 +80,7 @@ Commands:
   version     print build identity (revision, go version)
 
 Run 'ksrsim <command> -h' for per-command flags.
-`)
-}
-
-// parseProcs parses "1,2,4,8" into a slice.
-func parseProcs(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad processor count %q", part)
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("processor count must be at least 1 (got %d)", v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseRates parses "0.001,0.01,0.05" into a slice, rejecting rates
-// outside [0, 1].
-func parseRates(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad fault rate %q", part)
-		}
-		if v < 0 || v > 1 {
-			return nil, fmt.Errorf("fault rate must be in [0, 1] (got %g)", v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
+`
 
 func fail(err error) {
 	finishObs()    // flush trace/manifest artifacts for the partial run
@@ -228,38 +186,6 @@ func main() {
 	startObs(cmd, args)
 	startProf()
 	switch cmd {
-	case "latency":
-		cmdLatency(args)
-	case "alloc":
-		cmdAlloc(args)
-	case "locks":
-		cmdLocks(args)
-	case "barriers":
-		cmdBarriers(args)
-	case "compare":
-		cmdCompare(args)
-	case "ep":
-		cmdEP(args)
-	case "bigep":
-		cmdBigEP(args)
-	case "biglatency":
-		cmdBigLatency(args)
-	case "cg":
-		cmdCG(args)
-	case "is":
-		cmdIS(args)
-	case "sp":
-		cmdSP(args)
-	case "bt":
-		cmdBT(args)
-	case "qlocks":
-		cmdQLocks(args)
-	case "saturation":
-		cmdSaturation(args)
-	case "capacity":
-		cmdCapacity(args)
-	case "faults":
-		cmdFaults(args)
 	case "workload":
 		cmdWorkload(args)
 	case "experiments":
@@ -279,9 +205,13 @@ func main() {
 	case "-h", "--help", "help":
 		usage()
 	default:
-		fmt.Fprintf(os.Stderr, "ksrsim: unknown command %q\n\n", cmd)
-		usage()
-		os.Exit(2)
+		r, ok := experimentCommand(cmd)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "ksrsim: unknown command %q\n\n", cmd)
+			usage()
+			os.Exit(2)
+		}
+		runExperiment(r, args)
 	}
 	ok := finishObs()
 	if !finishProf() {
@@ -293,420 +223,77 @@ func main() {
 	}
 }
 
-func cmdLatency(args []string) {
-	fs := flag.NewFlagSet("latency", flag.ExitOnError)
-	cells := fs.Int("cells", 32, "machine size")
-	region := fs.Int64("region", 256*1024, "per-processor array bytes (paper: 1048576)")
-	procsFlag := fs.String("procs", "", "comma-separated processor counts")
-	plot := fs.Bool("plot", false, "render an ASCII chart of the curves")
-	fs.Parse(args)
-	cfg := experiments.DefaultLatencyConfig()
-	cfg.Cells = *cells
-	cfg.RegionBytes = *region
-	var err error
-	if cfg.Procs, err = parseProcs(*procsFlag); err != nil {
-		fail(err)
+// experimentCommand returns the registry entry that `ksrsim name` runs.
+// The wl-* entries are not commands: `ksrsim workload run -preset` runs
+// the same presets.
+func experimentCommand(name string) (experiments.Runner, bool) {
+	if strings.HasPrefix(name, "wl-") {
+		return experiments.Runner{}, false
 	}
-	res, err := experiments.RunLatency(cfg)
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-	if *plot {
-		fmt.Print(metrics.Plot("Figure 2", "us/access", []metrics.Series{
-			{Label: "net read", Procs: res.Procs, Values: res.NetRead},
-			{Label: "net write", Procs: res.Procs, Values: res.NetWrite},
-			{Label: "local read", Procs: res.Procs, Values: res.LocalRead},
-			{Label: "local write", Procs: res.Procs, Values: res.LocalWrite},
-		}, 60, 16, false))
-	}
+	return experiments.LookupExperiment(name)
 }
 
-func cmdAlloc(args []string) {
-	fs := flag.NewFlagSet("alloc", flag.ExitOnError)
-	fs.Parse(args)
-	res, err := experiments.RunAlloc(experiments.DefaultAllocConfig())
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-}
-
-func cmdLocks(args []string) {
-	fs := flag.NewFlagSet("locks", flag.ExitOnError)
-	cells := fs.Int("cells", 32, "machine size")
-	ops := fs.Int("ops", 100, "lock operations per processor (paper: 500)")
-	hold := fs.Int64("hold", 3000, "local operations while holding the lock")
-	delay := fs.Int64("delay", 10000, "local operations between requests")
-	interrupts := fs.Bool("interrupts", false, "model unsynchronized OS timer interrupts")
-	procsFlag := fs.String("procs", "", "comma-separated processor counts")
-	fs.Parse(args)
-	cfg := experiments.DefaultLocksConfig()
-	cfg.Cells = *cells
-	cfg.OpsPerProc = *ops
-	cfg.HoldOps = *hold
-	cfg.DelayOps = *delay
-	cfg.TimerInterrupts = *interrupts
-	var err error
-	if cfg.Procs, err = parseProcs(*procsFlag); err != nil {
-		fail(err)
-	}
-	res, err := experiments.RunLocks(cfg)
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-}
-
-func cmdBarriers(args []string) {
-	fs := flag.NewFlagSet("barriers", flag.ExitOnError)
-	machineFlag := fs.String("machine", "ksr1", "ksr1 | ksr2 | symmetry | butterfly")
-	cells := fs.Int("cells", 0, "machine size (default: 32, or 64 for ksr2)")
-	episodes := fs.Int("episodes", 100, "barrier episodes per measurement")
-	procsFlag := fs.String("procs", "", "comma-separated processor counts")
-	algosFlag := fs.String("algos", "", "comma-separated algorithm subset")
-	plot := fs.Bool("plot", false, "render an ASCII chart of the curves")
-	fs.Parse(args)
-	if *cells < 0 {
-		fail(fmt.Errorf("-cells must be at least 1 (got %d)", *cells))
-	}
-	var cfg experiments.BarriersConfig
-	if *machineFlag == "ksr2" {
-		cfg = experiments.KSR2BarriersConfig()
-	} else {
-		cfg = experiments.DefaultBarriersConfig()
-		cfg.Machine = experiments.MachineKind(*machineFlag)
-	}
-	if *cells != 0 {
-		cfg.Cells = *cells
-	}
-	cfg.Episodes = *episodes
-	var err error
-	if p, err := parseProcs(*procsFlag); err != nil {
-		fail(err)
-	} else if p != nil {
-		cfg.Procs = p
-	}
-	if *algosFlag != "" {
-		cfg.Algorithms = strings.Split(*algosFlag, ",")
-	}
-	res, err := experiments.RunBarriers(cfg)
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-	if len(res.Procs) > 0 {
-		fmt.Printf("best at %d processors: %s\n", res.Procs[len(res.Procs)-1], res.Best())
-	}
-	if *plot {
+// charts renders the -plot chart of the experiments that have one.
+var charts = map[string]func(res any) string{
+	"latency": func(res any) string {
+		r := res.(experiments.LatencyResult)
+		return metrics.Plot("Figure 2", "us/access", []metrics.Series{
+			{Label: "net read", Procs: r.Procs, Values: r.NetRead},
+			{Label: "net write", Procs: r.Procs, Values: r.NetWrite},
+			{Label: "local read", Procs: r.Procs, Values: r.LocalRead},
+			{Label: "local write", Procs: r.Procs, Values: r.LocalWrite},
+		}, 60, 16, false)
+	},
+	"barriers": func(res any) string {
+		r := res.(experiments.BarriersResult)
 		var series []metrics.Series
-		for i, a := range res.Algos {
-			series = append(series, metrics.Series{Label: a, Procs: res.Procs, Values: res.Times[i]})
+		for i, a := range r.Algos {
+			series = append(series, metrics.Series{Label: a, Procs: r.Procs, Values: r.Times[i]})
 		}
-		fmt.Print(metrics.Plot(res.Title, "s/episode", series, 60, 18, true))
-	}
+		return metrics.Plot(r.Title, "s/episode", series, 60, 18, true)
+	},
 }
 
-func cmdCompare(args []string) {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	cells := fs.Int("cells", 16, "machine size")
-	episodes := fs.Int("episodes", 50, "barrier episodes per measurement")
-	procsFlag := fs.String("procs", "2,4,8,16", "comma-separated processor counts")
-	fs.Parse(args)
-	procs, err := parseProcs(*procsFlag)
+// experimentFlags returns the flag set of r's command, bound to a fresh
+// default config of r, and its -plot flag (nil when r has no chart).
+func experimentFlags(r experiments.Runner, handling flag.ErrorHandling) (*flag.FlagSet, any, *bool, error) {
+	fs := flag.NewFlagSet(r.Name, handling)
+	cfg := r.New()
+	if err := bindConfig(fs, cfg); err != nil {
+		return nil, nil, nil, err
+	}
+	var plot *bool
+	if charts[r.Name] != nil {
+		plot = fs.Bool("plot", false, "render an ASCII chart of the curves")
+	}
+	return fs, cfg, plot, nil
+}
+
+// runExperiment runs one registry experiment with its config set by
+// flags, prints the result, and exits 1 when the result carries a false
+// Verified bit.
+func runExperiment(r experiments.Runner, args []string) {
+	fs, cfg, plot, err := experimentFlags(r, flag.ExitOnError)
 	if err != nil {
 		fail(err)
 	}
-	res, err := experiments.RunComparison(experiments.CompareConfig{Cells: *cells, Episodes: *episodes, Procs: procs})
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fail(fmt.Errorf("%s: unexpected argument %q: flags must come before it", r.Name, fs.Arg(0)))
+	}
+	res, err := r.Run(nil, cfg)
 	if err != nil {
 		fail(err)
 	}
 	emit(res)
-}
-
-func cmdEP(args []string) {
-	fs := flag.NewFlagSet("ep", flag.ExitOnError)
-	logPairs := fs.Int("logpairs", 18, "generate 2^logpairs pairs (paper: 28)")
-	procsFlag := fs.String("procs", "", "comma-separated processor counts")
-	fs.Parse(args)
-	cfg := experiments.DefaultEPExperiment()
-	cfg.LogPairs = *logPairs
-	var err error
-	if p, err := parseProcs(*procsFlag); err != nil {
-		fail(err)
-	} else if p != nil {
-		cfg.Procs = p
+	if b, ok := res.(experiments.BarriersResult); ok && len(b.Procs) > 0 {
+		fmt.Printf("best at %d processors: %s\n", b.Procs[len(b.Procs)-1], b.Best())
 	}
-	res, err := experiments.RunEPExperiment(cfg)
-	if err != nil {
-		fail(err)
+	if plot != nil && *plot {
+		fmt.Print(charts[r.Name](res))
 	}
-	emit(res)
-	if !res.Verified {
-		fail(fmt.Errorf("EP results differ across processor counts"))
-	}
-}
-
-func cmdBigEP(args []string) {
-	fs := flag.NewFlagSet("bigep", flag.ExitOnError)
-	machineFlag := fs.String("machine", "ksr2", "ksr1 | ksr2")
-	logPairs := fs.Int("logpairs", 20, "generate 2^logpairs pairs (paper scale: 28)")
-	procsFlag := fs.String("procs", "", "comma-separated total processor counts (multiples of 32 past one ring)")
-	fs.Parse(args)
-	cfg := experiments.DefaultBigEPExperiment()
-	cfg.Machine = experiments.MachineKind(*machineFlag)
-	cfg.LogPairs = *logPairs
-	if p, err := parseProcs(*procsFlag); err != nil {
-		fail(err)
-	} else if p != nil {
-		cfg.Procs = p
-	}
-	res, err := experiments.RunBigEPExperiment(cfg)
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-	if !res.Verified {
-		fail(fmt.Errorf("EP results differ across processor counts"))
-	}
-}
-
-func cmdBigLatency(args []string) {
-	fs := flag.NewFlagSet("biglatency", flag.ExitOnError)
-	machineFlag := fs.String("machine", "ksr2", "ksr1 | ksr2")
-	rings := fs.Int("rings", 34, "leaf rings (34 = the full 1088-cell machine)")
-	fs.Parse(args)
-	res, err := experiments.RunBigLatency(experiments.BigLatencyConfig{
-		Machine: experiments.MachineKind(*machineFlag),
-		Rings:   *rings,
-	})
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-}
-
-func cmdCG(args []string) {
-	fs := flag.NewFlagSet("cg", flag.ExitOnError)
-	n := fs.Int("n", 1400, "matrix order (paper: 14000)")
-	nnz := fs.Int("nnz", 20300, "nonzeros (paper: 2030000)")
-	iters := fs.Int("iters", 15, "CG iterations")
-	poststore := fs.Bool("poststore", false, "also run the poststore ablation")
-	procsFlag := fs.String("procs", "", "comma-separated processor counts")
-	fs.Parse(args)
-	cfg := experiments.DefaultCGExperiment()
-	cfg.N, cfg.NNZ, cfg.Iterations = *n, *nnz, *iters
-	if p, err := parseProcs(*procsFlag); err != nil {
-		fail(err)
-	} else if p != nil {
-		cfg.Procs = p
-	}
-	res, err := experiments.RunCGExperiment(cfg)
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-	if *poststore {
-		imp, err := experiments.RunCGPoststoreAblation(cfg)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("poststore improvement (percent, paper: ~3% at 16, less at 32):")
-		for _, pn := range cfg.Procs {
-			fmt.Printf("  %2d procs: %+.2f%%\n", pn, imp[pn])
-		}
-	}
-}
-
-func cmdIS(args []string) {
-	fs := flag.NewFlagSet("is", flag.ExitOnError)
-	logKeys := fs.Int("logkeys", 17, "2^logkeys keys (paper: 23)")
-	logMax := fs.Int("logmaxkey", 11, "keys < 2^logmaxkey (paper: 19)")
-	procsFlag := fs.String("procs", "", "comma-separated processor counts")
-	fs.Parse(args)
-	cfg := experiments.DefaultISExperiment()
-	cfg.LogKeys, cfg.LogMaxKey = *logKeys, *logMax
-	if p, err := parseProcs(*procsFlag); err != nil {
-		fail(err)
-	} else if p != nil {
-		cfg.Procs = p
-	}
-	res, err := experiments.RunISExperiment(cfg)
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-	if !res.Verified {
-		fail(fmt.Errorf("IS failed verification"))
-	}
-}
-
-func cmdSP(args []string) {
-	fs := flag.NewFlagSet("sp", flag.ExitOnError)
-	nx := fs.Int("nx", 64, "grid x (paper: 64)")
-	ny := fs.Int("ny", 64, "grid y (paper: 64)")
-	nz := fs.Int("nz", 64, "grid z (paper: 64)")
-	iters := fs.Int("iters", 1, "iterations (paper runs 400)")
-	opts := fs.Bool("opts", false, "run the Table 4 optimization ladder instead")
-	optProcs := fs.Int("optprocs", 16, "processor count for -opts (paper: 30)")
-	procsFlag := fs.String("procs", "", "comma-separated processor counts")
-	fs.Parse(args)
-	cfg := experiments.DefaultSPExperiment()
-	cfg.Nx, cfg.Ny, cfg.Nz, cfg.Iterations = *nx, *ny, *nz, *iters
-	if p, err := parseProcs(*procsFlag); err != nil {
-		fail(err)
-	} else if p != nil {
-		cfg.Procs = p
-	}
-	if *opts {
-		res, err := experiments.RunSPOpts(experiments.SPOptsConfig{SPExperimentConfig: cfg, OptProcs: *optProcs})
-		if err != nil {
-			fail(err)
-		}
-		emit(res)
-		return
-	}
-	res, err := experiments.RunSPExperiment(cfg)
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-	if !res.Verified {
-		fail(fmt.Errorf("SP answer differs from serial reference"))
-	}
-}
-
-func cmdBT(args []string) {
-	fs := flag.NewFlagSet("bt", flag.ExitOnError)
-	nx := fs.Int("nx", 16, "grid x")
-	ny := fs.Int("ny", 16, "grid y")
-	nz := fs.Int("nz", 16, "grid z")
-	iters := fs.Int("iters", 1, "iterations")
-	procsFlag := fs.String("procs", "", "comma-separated processor counts")
-	fs.Parse(args)
-	cfg := experiments.DefaultBTExperiment()
-	cfg.Nx, cfg.Ny, cfg.Nz, cfg.Iterations = *nx, *ny, *nz, *iters
-	if p, err := parseProcs(*procsFlag); err != nil {
-		fail(err)
-	} else if p != nil {
-		cfg.Procs = p
-	}
-	res, err := experiments.RunBTExperiment(cfg)
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-	if !res.Verified {
-		fail(fmt.Errorf("BT answer differs from serial reference"))
-	}
-}
-
-func cmdQLocks(args []string) {
-	fs := flag.NewFlagSet("qlocks", flag.ExitOnError)
-	machineFlag := fs.String("machine", "ksr1", "ksr1 | ksr2 | symmetry | butterfly")
-	cells := fs.Int("cells", 32, "machine size")
-	ops := fs.Int("ops", 30, "lock operations per processor")
-	procsFlag := fs.String("procs", "", "comma-separated processor counts")
-	fs.Parse(args)
-	cfg := experiments.DefaultQueueLocksConfig()
-	cfg.Machine = experiments.MachineKind(*machineFlag)
-	cfg.Cells = *cells
-	cfg.OpsPerProc = *ops
-	if p, err := parseProcs(*procsFlag); err != nil {
-		fail(err)
-	} else if p != nil {
-		cfg.Procs = p
-	}
-	res, err := experiments.RunQueueLocks(cfg)
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-}
-
-func cmdSaturation(args []string) {
-	fs := flag.NewFlagSet("saturation", flag.ExitOnError)
-	cells := fs.Int("cells", 32, "machine size")
-	procs := fs.Int("procs", 32, "simultaneously communicating processors")
-	accesses := fs.Int64("accesses", 400, "remote reads per processor per point")
-	fs.Parse(args)
-	cfg := experiments.DefaultSaturationConfig()
-	cfg.Cells = *cells
-	cfg.Procs = *procs
-	cfg.Accesses = *accesses
-	res, err := experiments.RunSaturation(cfg)
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-}
-
-func cmdCapacity(args []string) {
-	fs := flag.NewFlagSet("capacity", flag.ExitOnError)
-	total := fs.Int64("bytes", 48*1024*1024, "total working set (needs > 32 MB)")
-	procsFlag := fs.String("procs", "", "comma-separated processor counts")
-	fs.Parse(args)
-	cfg := experiments.DefaultCapacityConfig()
-	cfg.TotalBytes = *total
-	if p, err := parseProcs(*procsFlag); err != nil {
-		fail(err)
-	} else if p != nil {
-		cfg.Procs = p
-	}
-	res, err := experiments.RunCapacityEffect(cfg)
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-}
-
-func cmdFaults(args []string) {
-	fs := flag.NewFlagSet("faults", flag.ExitOnError)
-	machineFlag := fs.String("machine", "ksr1", "ksr1 | ksr2 | symmetry | butterfly")
-	cells := fs.Int("cells", 16, "machine size")
-	procs := fs.Int("procs", 8, "processor count")
-	episodes := fs.Int("episodes", 50, "barrier episodes per rate")
-	rate := fs.Float64("rate", 0, "single fault rate (shorthand for -rates with one value)")
-	ratesFlag := fs.String("rates", "", "comma-separated fault rates (default 0.001,0.01,0.05)")
-	seed := fs.Uint64("seed", 1, "fault-injection seed")
-	barrier := fs.String("barrier", "tournament(M)", "barrier algorithm")
-	checked := fs.Bool("checked", false, "run the coherence invariant checker after every run")
-	fs.Parse(args)
-	if *cells < 1 {
-		fail(fmt.Errorf("-cells must be at least 1 (got %d)", *cells))
-	}
-	if *procs < 1 {
-		fail(fmt.Errorf("-procs must be at least 1 (got %d)", *procs))
-	}
-	if *procs > *cells {
-		fail(fmt.Errorf("-procs %d exceeds -cells %d", *procs, *cells))
-	}
-	if *rate < 0 || *rate > 1 {
-		fail(fmt.Errorf("-rate must be in [0, 1] (got %g)", *rate))
-	}
-	cfg := experiments.DefaultDegradationConfig()
-	cfg.Machine = experiments.MachineKind(*machineFlag)
-	cfg.Cells = *cells
-	cfg.Procs = *procs
-	cfg.Episodes = *episodes
-	cfg.Seed = *seed
-	cfg.Barrier = *barrier
-	cfg.Checked = *checked
-	if r, err := parseRates(*ratesFlag); err != nil {
-		fail(err)
-	} else if r != nil {
-		cfg.Rates = r
-	}
-	if *rate > 0 {
-		cfg.Rates = []float64{*rate}
-	}
-	res, err := experiments.RunDegradation(cfg)
-	if err != nil {
-		fail(err)
-	}
-	emit(res)
-	if !res.Verified {
-		fail(fmt.Errorf("faulty runs computed different results than the fault-free baseline"))
+	if v := reflect.ValueOf(res).FieldByName("Verified"); v.IsValid() && !v.Bool() {
+		fail(fmt.Errorf("%s: verification failed (the result's Verified is false)", r.Name))
 	}
 }
 

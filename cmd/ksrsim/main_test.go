@@ -2,28 +2,6 @@ package main
 
 import "testing"
 
-func TestParseProcs(t *testing.T) {
-	got, err := parseProcs("1, 2,8,32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 2, 8, 32}
-	if len(got) != len(want) {
-		t.Fatalf("parseProcs = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parseProcs = %v, want %v", got, want)
-		}
-	}
-	if p, err := parseProcs(""); err != nil || p != nil {
-		t.Error("empty string should yield nil, nil")
-	}
-	if _, err := parseProcs("1,x,3"); err == nil {
-		t.Error("bad entry accepted")
-	}
-}
-
 func TestEmitBothModes(t *testing.T) {
 	// Regression: emit must terminate in both modes (a refactor once made
 	// the text path recurse into itself).

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 
 	"repro/internal/experiments"
 	"repro/internal/workload"
@@ -112,16 +113,14 @@ func cmdWorkloadRun(args []string) {
 	fs := flag.NewFlagSet("workload run", flag.ExitOnError)
 	preset := fs.String("preset", "", "built-in preset name (see 'workload list')")
 	specFile := fs.String("spec", "", "workload spec JSON file")
-	procsFlag := fs.String("procs", "", "comma-separated processor counts")
+	var cfg experiments.WorkloadConfig
+	fs.Var(fieldValue{reflect.ValueOf(&cfg.Procs).Elem()}, "procs", "comma-separated processor counts")
 	fs.Parse(args)
 	spec, err := loadSpec(*preset, *specFile)
 	if err != nil {
 		fail(err)
 	}
-	cfg := experiments.WorkloadConfig{Spec: spec}
-	if cfg.Procs, err = parseProcs(*procsFlag); err != nil {
-		fail(err)
-	}
+	cfg.Spec = spec
 	res, err := experiments.RunWorkload(cfg)
 	if err != nil {
 		fail(err)

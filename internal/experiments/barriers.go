@@ -7,21 +7,20 @@ import (
 	"repro/internal/ksync"
 	"repro/internal/machine"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // BarriersConfig parameterizes the barrier experiments (Figures 4 and 5,
 // and the Section 3.2.3 cross-architecture comparison).
 type BarriersConfig struct {
-	Machine  MachineKind
-	Cells    int
-	Procs    []int
-	Episodes int
+	Machine  MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
+	Cells    int         `help:"machine size"`
+	Procs    []int       `help:"comma-separated processor counts (default: the paper's sweep from 2 up to -cells)"`
+	Episodes int         `help:"barrier episodes per measurement"`
 	// Algorithms restricts the set (nil = all nine).
-	Algorithms []string
+	Algorithms []string `flag:"algos" help:"comma-separated algorithm subset (default: all nine)"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultBarriersConfig returns the Figure 4 setup.
@@ -73,6 +72,9 @@ func (r BarriersResult) Best() string {
 
 // RunBarriers measures every selected algorithm over the processor sweep.
 func RunBarriers(cfg BarriersConfig) (BarriersResult, error) {
+	if err := checkProcs(cfg.Procs); err != nil {
+		return BarriersResult{}, err
+	}
 	procs := cfg.Procs
 	if procs == nil {
 		procs = DefaultProcSweep(cfg.Cells)
@@ -159,11 +161,11 @@ func (r CompareResult) String() string {
 // CompareConfig parameterizes the Section 3.2.3 comparison (the form job
 // specs submit).
 type CompareConfig struct {
-	Cells    int
-	Episodes int
-	Procs    []int
+	Cells    int   `help:"machine size"`
+	Episodes int   `help:"barrier episodes per measurement"`
+	Procs    []int `help:"comma-separated processor counts"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultCompareConfig returns the setup `ksrsim compare` uses.
@@ -180,13 +182,13 @@ func RunComparison(cfg CompareConfig) (CompareResult, error) {
 	var res CompareResult
 	var err error
 	res.Symmetry, err = RunBarriers(BarriersConfig{
-		Machine: SymmetryKind, Cells: cfg.Cells, Episodes: cfg.Episodes, Procs: cfg.Procs, Obs: cfg.Obs,
+		Machine: SymmetryKind, Cells: cfg.Cells, Episodes: cfg.Episodes, Procs: cfg.Procs, observed: cfg.observed,
 	})
 	if err != nil {
 		return res, err
 	}
 	res.Butterfly, err = RunBarriers(BarriersConfig{
-		Machine: ButterflyKind, Cells: cfg.Cells, Episodes: cfg.Episodes, Procs: cfg.Procs, Obs: cfg.Obs,
+		Machine: ButterflyKind, Cells: cfg.Cells, Episodes: cfg.Episodes, Procs: cfg.Procs, observed: cfg.observed,
 	})
 	return res, err
 }

@@ -93,11 +93,11 @@ func pdesRecord(label string, st sim.PartitionedStats) obs.PDESRecord {
 // BigEPConfig parameterizes the extended-study EP sweep past one ring:
 // processor counts up to the full 1088-cell KSR-2.
 type BigEPConfig struct {
-	Machine  MachineKind
-	Procs    []int // total processors; rings = ceil(procs/32)
-	LogPairs int
+	Machine  MachineKind `help:"machine model: ksr1 | ksr2"`
+	Procs    []int       `help:"comma-separated total processor counts (multiples of 32 past one ring)"` // rings = ceil(procs/32)
+	LogPairs int         `help:"generate 2^logpairs pairs (paper scale: 28)"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultBigEPExperiment returns the thousand-cell EP sweep.
@@ -134,6 +134,9 @@ func (r BigScaleResult) String() string {
 // the accepted counts and annuli must agree across the whole sweep —
 // that is the Verified bit.
 func RunBigEPExperiment(cfg BigEPConfig) (BigScaleResult, error) {
+	if err := checkProcs(cfg.Procs); err != nil {
+		return BigScaleResult{}, err
+	}
 	res := BigScaleResult{Verified: true}
 	n := len(cfg.Procs)
 	points := make([]metrics.Point, n)
@@ -180,10 +183,10 @@ func RunBigEPExperiment(cfg BigEPConfig) (BigScaleResult, error) {
 // machine, measuring the leaf-top-leaf path against the intra-ring
 // baseline — the extension of Figure 2 past one ring.
 type BigLatencyConfig struct {
-	Machine MachineKind
-	Rings   int
+	Machine MachineKind `help:"machine model: ksr1 | ksr2"`
+	Rings   int         `help:"leaf rings (34 = the full 1088-cell machine)"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultBigLatencyExperiment probes the full-size KSR-2.

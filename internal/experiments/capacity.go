@@ -7,7 +7,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/memory"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // CapacityConfig parameterizes the superunitary-speedup demonstration.
@@ -18,13 +17,13 @@ import (
 // experiment isolates that mechanism with a repeated-sweep kernel whose
 // total working set exceeds one node's 32 MB local cache.
 type CapacityConfig struct {
-	Machine    MachineKind
-	Cells      int
-	Procs      []int
-	TotalBytes int64 // total working set (paper effect needs > 32 MB)
-	Sweeps     int   // repeated passes (reuse is what capacity buys)
+	Machine    MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
+	Cells      int         `help:"machine size"`
+	Procs      []int       `help:"comma-separated processor counts"`
+	TotalBytes int64       `flag:"bytes" help:"total working set (needs > 32 MB)"`
+	Sweeps     int         `help:"repeated passes over the working set (reuse is what capacity buys)"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultCapacityConfig uses a 48 MB working set: 1.5x one local cache.

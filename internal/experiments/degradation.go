@@ -9,7 +9,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/ksync"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -19,28 +18,28 @@ import (
 // the result reports how much each workload slows down relative to the
 // fault-free baseline alongside the injected-fault and retry counters.
 type DegradationConfig struct {
-	Machine MachineKind
-	Cells   int
-	Procs   int
+	Machine MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
+	Cells   int         `help:"machine size"`
+	Procs   int         `help:"processor count"`
 	// Rates are the fault rates to sweep; a 0 baseline row is always run
-	// first and is implicit (it need not be listed).
-	Rates []float64
-	Seed  uint64
+	// first and is implicit (it need not be listed, and nil runs only it).
+	Rates []float64 `help:"comma-separated fault rates in [0, 1] (the 0 baseline always runs)"`
+	Seed  uint64    `help:"fault-injection seed"`
 
-	Episodes int    // barrier episodes per rate
-	Barrier  string // barrier algorithm name (ksync.ByName)
+	Episodes int    `help:"barrier episodes per rate"`
+	Barrier  string `help:"barrier algorithm"`
 
-	LogPairs int // EP size: 2^LogPairs pairs
+	LogPairs int `help:"EP size: 2^logpairs pairs"`
 
-	CGN     int // CG matrix order
-	CGNNZ   int // CG nonzeros
-	CGIters int // CG iterations
+	CGN     int `help:"CG matrix order"`
+	CGNNZ   int `help:"CG nonzeros"`
+	CGIters int `help:"CG iterations"`
 
 	// Checked arms the coherence invariant checker on every run; any
 	// violation fails the sweep.
-	Checked bool
+	Checked bool `help:"run the coherence invariant checker after every run"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultDegradationConfig returns a test-scale sweep.
@@ -121,15 +120,16 @@ func (r DegradationResult) String() string {
 }
 
 // RunDegradation executes the sweep. The rate-0 baseline always runs
-// first; each subsequent row reports slowdown relative to it. Zero-value
-// workload fields are filled from DefaultDegradationConfig.
-func RunDegradation(cfg DegradationConfig) (DegradationResult, error) {
-	c := cfg.orDefault()
+// first; each subsequent row reports slowdown relative to it.
+func RunDegradation(c DegradationConfig) (DegradationResult, error) {
 	if c.Cells < 1 {
 		return DegradationResult{}, fmt.Errorf("experiments: degradation needs at least one cell (got %d)", c.Cells)
 	}
 	if c.Procs < 1 || c.Procs > c.Cells {
 		return DegradationResult{}, fmt.Errorf("experiments: degradation needs 1..%d procs (got %d)", c.Cells, c.Procs)
+	}
+	if c.Episodes < 1 {
+		return DegradationResult{}, fmt.Errorf("experiments: degradation needs at least one barrier episode (got %d)", c.Episodes)
 	}
 	for _, rate := range c.Rates {
 		if rate < 0 || rate > 1 {
@@ -209,15 +209,11 @@ func RunDegradation(cfg DegradationConfig) (DegradationResult, error) {
 		switch work {
 		case 0: // barrier episodes
 			b := bf.New(m, c.Procs)
-			episodes := c.Episodes
-			if episodes < 1 {
-				episodes = 1
-			}
 			var barrierTotal sim.Time
 			_, err = m.Run(c.Procs, func(p *machine.Proc) {
 				b.Wait(p) // warm-up episode
 				start := p.Now()
-				for ep := 0; ep < episodes; ep++ {
+				for ep := 0; ep < c.Episodes; ep++ {
 					b.Wait(p)
 				}
 				if p.CellID() == 0 {
@@ -227,7 +223,7 @@ func RunDegradation(cfg DegradationConfig) (DegradationResult, error) {
 			if err != nil {
 				return fmt.Errorf("barrier at rate %g: %w", rate, err)
 			}
-			out.sec = (barrierTotal / sim.Time(episodes)).Seconds()
+			out.sec = (barrierTotal / sim.Time(c.Episodes)).Seconds()
 		case 1: // EP kernel
 			epCfg := kernels.DefaultEPConfig(c.Procs)
 			epCfg.LogPairs = c.LogPairs
@@ -298,40 +294,4 @@ func RunDegradation(cfg DegradationConfig) (DegradationResult, error) {
 	}
 	res.Verified = resultsMatch
 	return res, nil
-}
-
-// orDefault fills unset fields from DefaultDegradationConfig.
-func (c DegradationConfig) orDefault() DegradationConfig {
-	d := DefaultDegradationConfig()
-	if c.Machine == "" {
-		c.Machine = d.Machine
-	}
-	if c.Cells == 0 {
-		c.Cells = d.Cells
-	}
-	if c.Procs == 0 {
-		c.Procs = d.Procs
-	}
-	if c.Rates == nil {
-		c.Rates = d.Rates
-	}
-	if c.Episodes == 0 {
-		c.Episodes = d.Episodes
-	}
-	if c.Barrier == "" {
-		c.Barrier = d.Barrier
-	}
-	if c.LogPairs == 0 {
-		c.LogPairs = d.LogPairs
-	}
-	if c.CGN == 0 {
-		c.CGN = d.CGN
-	}
-	if c.CGNNZ == 0 {
-		c.CGNNZ = d.CGNNZ
-	}
-	if c.CGIters == 0 {
-		c.CGIters = d.CGIters
-	}
-	return c
 }

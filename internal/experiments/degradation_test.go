@@ -70,6 +70,20 @@ func TestDegradationInjectsAndVerifies(t *testing.T) {
 	}
 }
 
+// TestDegradationNilRatesRunsBaselineOnly pins that an explicit empty
+// rate list is taken as given, not replaced by the default rates.
+func TestDegradationNilRatesRunsBaselineOnly(t *testing.T) {
+	cfg := testDegradationConfig()
+	cfg.Rates = nil
+	res, err := RunDegradation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0].Rate != 0 {
+		t.Errorf("nil Rates ran %d rows, want the baseline only", len(res.Rows))
+	}
+}
+
 func TestDegradationRejectsBadConfig(t *testing.T) {
 	cases := []struct {
 		name string

@@ -356,8 +356,9 @@ func TestSPOptimizationLadder(t *testing.T) {
 }
 
 // TestMalformedConfigsReturnErrors runs each config that used to panic
-// inside a sweep worker through the registry, as the daemon does: every
-// one must come back as an error naming the bad field.
+// inside a sweep worker, or to run a default in place of the value it
+// gave, through the registry, as the daemon does: every one must come
+// back as an error naming the bad field.
 func TestMalformedConfigsReturnErrors(t *testing.T) {
 	for _, tc := range []struct {
 		experiment, config, want string
@@ -372,6 +373,17 @@ func TestMalformedConfigsReturnErrors(t *testing.T) {
 		{"sp", `{"Nx":0}`, "bad SP config"},
 		{"bt", `{"Nx":2}`, "bad BT config"},
 		{"bt", `{"Nz":1}`, "bad BT config"},
+		{"bigep", `{"Procs":[0]}`, "processor counts"},
+		{"bigep", `{"Procs":[-32]}`, "processor counts"},
+		{"barriers", `{"Procs":[0]}`, "processor counts"},
+		{"barriers", `{"Procs":[-3]}`, "processor counts"},
+		{"compare", `{"Procs":[0]}`, "processor counts"},
+		{"compare", `{"Procs":[-3]}`, "processor counts"},
+		{"latency", `{"Procs":[-1]}`, "processor counts"},
+		{"faults", `{"Cells":0}`, "at least one cell"},
+		{"faults", `{"Cells":4,"Procs":0}`, "1..4 procs (got 0)"},
+		{"faults", `{"Episodes":0}`, "barrier episode"},
+		{"cgpoststore", `{"Poststore":true}`, "Poststore"},
 	} {
 		r, ok := LookupExperiment(tc.experiment)
 		if !ok {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/memory"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -21,13 +20,13 @@ import (
 
 // QueueLocksConfig parameterizes the queue-lock comparison.
 type QueueLocksConfig struct {
-	Machine    MachineKind
-	Cells      int
-	Procs      []int
-	OpsPerProc int
-	HoldOps    int64
+	Machine    MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
+	Cells      int         `help:"machine size"`
+	Procs      []int       `help:"comma-separated processor counts"`
+	OpsPerProc int         `flag:"ops" help:"lock operations per processor"`
+	HoldOps    int64       `flag:"hold" help:"local operations while holding the lock"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultQueueLocksConfig returns the standard comparison setup.
@@ -125,13 +124,13 @@ func RunQueueLocks(cfg QueueLocksConfig) (QueueLocksResult, error) {
 // of local work; shrinking the gap raises the offered load past the
 // ring's slot capacity.
 type SaturationConfig struct {
-	Machine   MachineKind
-	Cells     int
-	Procs     int
-	Accesses  int64 // remote reads per processor per point
-	GapCycles []int64
+	Machine   MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
+	Cells     int         `help:"machine size"`
+	Procs     int         `help:"simultaneously communicating processors"`
+	Accesses  int64       `help:"remote reads per processor per point"`
+	GapCycles []int64     `help:"comma-separated think times between reads, in cycles (one sweep point each)"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultSaturationConfig sweeps a fully populated KSR-1 ring.

@@ -89,16 +89,23 @@ func TestCGPoststoreAblationRuns(t *testing.T) {
 	cfg := DefaultCGExperiment()
 	cfg.N, cfg.NNZ, cfg.Iterations = 400, 4000, 4
 	cfg.Procs = []int{8}
-	imp, err := RunCGPoststoreAblation(cfg)
+	res, err := RunCGPoststoreAblation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := imp[8]; !ok {
-		t.Fatalf("no entry for 8 procs: %v", imp)
+	if len(res.Procs) != 1 || res.Procs[0] != 8 || len(res.Improvement) != 1 {
+		t.Fatalf("want one entry for 8 procs: %+v", res)
 	}
 	// Poststore should help (positive percentage) at moderate scale.
-	if imp[8] < 0 {
-		t.Logf("poststore hurt by %.2f%% at this scale (acceptable, logged)", -imp[8])
+	if imp := res.Improvement[0]; imp < 0 {
+		t.Logf("poststore hurt by %.2f%% at this scale (acceptable, logged)", -imp)
+	}
+	if !strings.Contains(res.String(), "   8 procs: ") {
+		t.Errorf("rendering lost the 8-proc line:\n%s", res)
+	}
+	cfg.Poststore = true
+	if _, err := RunCGPoststoreAblation(cfg); err == nil {
+		t.Error("ablation accepted Poststore: true, the knob it ablates")
 	}
 }
 

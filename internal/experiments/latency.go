@@ -8,23 +8,19 @@ import (
 	"repro/internal/machine"
 	"repro/internal/memory"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // LatencyConfig parameterizes the Figure 2 experiment.
 type LatencyConfig struct {
-	Machine MachineKind
-	Cells   int
-	Procs   []int // sweep; nil = DefaultProcSweep
+	Machine MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
+	Cells   int         `help:"machine size"`
+	Procs   []int       `help:"comma-separated processor counts (default: the paper's sweep up to -cells)"`
 	// RegionBytes is the size of each processor's private array (the
 	// paper used 1 MB; the default is smaller to keep runs quick).
-	RegionBytes int64
+	RegionBytes int64 `flag:"region" help:"per-processor array bytes (paper: 1048576)"`
 
-	// Obs, when set, is the session this run records into instead of the
-	// process-global one. Excluded from JSON so job specs hash only the
-	// physical configuration.
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultLatencyConfig returns the standard Figure 2 setup.
@@ -60,6 +56,9 @@ func (r LatencyResult) String() string {
 // its neighbour's array for the network curves, all processors measuring
 // simultaneously so the curves expose any latency growth with load.
 func RunLatency(cfg LatencyConfig) (LatencyResult, error) {
+	if err := checkProcs(cfg.Procs); err != nil {
+		return LatencyResult{}, err
+	}
 	if cfg.RegionBytes <= 0 {
 		return LatencyResult{}, fmt.Errorf("experiments: bad region size %d", cfg.RegionBytes)
 	}
@@ -213,9 +212,9 @@ func (r AllocOverheadResult) String() string {
 // AllocConfig parameterizes the allocation-overhead measurement. The
 // machine size is fixed (the effect is per-access, not per-machine).
 type AllocConfig struct {
-	Machine MachineKind
+	Machine MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultAllocConfig returns the Section 3.1 setup.

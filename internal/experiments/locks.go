@@ -6,7 +6,6 @@ import (
 	"repro/internal/ksync"
 	"repro/internal/machine"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -15,21 +14,21 @@ import (
 // operations with DelayOps local operations between requests — the paper's
 // synthetic workload (500 operations, hold 3000, delay 10000).
 type LocksConfig struct {
-	Machine    MachineKind
-	Cells      int
-	Procs      []int
-	OpsPerProc int
-	HoldOps    int64
-	DelayOps   int64
+	Machine    MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
+	Cells      int         `help:"machine size"`
+	Procs      []int       `help:"comma-separated processor counts (default: the paper's sweep up to -cells)"`
+	OpsPerProc int         `flag:"ops" help:"lock operations per processor (paper: 500)"`
+	HoldOps    int64       `flag:"hold" help:"local operations while holding the lock"`
+	DelayOps   int64       `flag:"delay" help:"local operations between requests"`
 	// ReadFractions lists the read-share percentages for the software
 	// read-write lock curves (the paper plots 0/20/40/60/80/100).
-	ReadFractions []int
-	Seed          uint64
+	ReadFractions []int  `help:"comma-separated read-share percentages of the read-write lock curves"`
+	Seed          uint64 `help:"seed of the read/write mix"`
 	// TimerInterrupts enables the OS effect the paper uses to explain the
 	// software lock beating the hardware lock even with writers only.
-	TimerInterrupts bool
+	TimerInterrupts bool `flag:"interrupts" help:"model unsynchronized OS timer interrupts"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultLocksConfig returns a scaled-down Figure 3 setup (the paper's 500

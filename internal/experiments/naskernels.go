@@ -6,18 +6,17 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // EPConfig parameterizes the EP scalability run (Section 3.3 opening).
 type EPConfig struct {
-	Machine  MachineKind
-	Cells    int
-	Procs    []int
-	LogPairs int
+	Machine  MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
+	Cells    int         `help:"machine size"`
+	Procs    []int       `help:"comma-separated processor counts"`
+	LogPairs int         `help:"generate 2^logpairs pairs (paper: 28)"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultEPExperiment returns the scaled EP sweep.
@@ -76,14 +75,15 @@ func RunEPExperiment(cfg EPConfig) (EPExperimentResult, error) {
 
 // CGExperimentConfig parameterizes the Table 1 / Figure 8 CG run.
 type CGExperimentConfig struct {
-	Machine    MachineKind
-	Cells      int
-	Procs      []int
-	N, NNZ     int
-	Iterations int
-	Poststore  bool
+	Machine    MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
+	Cells      int         `help:"machine size"`
+	Procs      []int       `help:"comma-separated processor counts"`
+	N          int         `help:"matrix order (paper: 14000)"`
+	NNZ        int         `help:"nonzeros (paper: 2030000)"`
+	Iterations int         `flag:"iters" help:"CG iterations"`
+	Poststore  bool        `help:"poststore each produced vector element"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultCGExperiment returns the scaled Table 1 setup (the paper's
@@ -155,10 +155,31 @@ func RunCGExperiment(cfg CGExperimentConfig) (KernelTableResult, error) {
 	return res, nil
 }
 
+// CGPoststoreResult is the poststore ablation: the percentage CG time
+// saved by poststore at each processor count.
+type CGPoststoreResult struct {
+	Procs       []int
+	Improvement []float64 // percent; positive means poststore helped
+}
+
+// String renders one line per processor count.
+func (r CGPoststoreResult) String() string {
+	var b strings.Builder
+	b.WriteString("poststore improvement (percent, paper: ~3% at 16, less at 32):\n")
+	for i, pn := range r.Procs {
+		fmt.Fprintf(&b, "  %2d procs: %+.2f%%\n", pn, r.Improvement[i])
+	}
+	return b.String()
+}
+
 // RunCGPoststoreAblation measures the poststore benefit the paper reports
-// (~3% at 16 processors, fading at 32). It returns the percentage
-// improvement per processor count.
-func RunCGPoststoreAblation(cfg CGExperimentConfig) (map[int]float64, error) {
+// (~3% at 16 processors, fading at 32) by running CG with poststore off
+// and on. Poststore is the knob it ablates, so cfg must leave it off:
+// one ablation then has one canonical config.
+func RunCGPoststoreAblation(cfg CGExperimentConfig) (CGPoststoreResult, error) {
+	if cfg.Poststore {
+		return CGPoststoreResult{}, fmt.Errorf("experiments: the poststore ablation runs poststore off and on; Poststore must be false")
+	}
 	// One job per (P, poststore on/off) pair.
 	times := make([]sim.Time, 2*len(cfg.Procs))
 	err := forEachObs(cfg.Obs, len(times), func(k int) error {
@@ -178,24 +199,24 @@ func RunCGPoststoreAblation(cfg CGExperimentConfig) (map[int]float64, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return CGPoststoreResult{}, err
 	}
-	improvement := map[int]float64{}
-	for i, pn := range cfg.Procs {
-		improvement[pn] = 100 * (1 - float64(times[2*i+1])/float64(times[2*i]))
+	res := CGPoststoreResult{Procs: cfg.Procs, Improvement: make([]float64, len(cfg.Procs))}
+	for i := range cfg.Procs {
+		res.Improvement[i] = 100 * (1 - float64(times[2*i+1])/float64(times[2*i]))
 	}
-	return improvement, nil
+	return res, nil
 }
 
 // ISExperimentConfig parameterizes the Table 2 / Figure 8 IS run.
 type ISExperimentConfig struct {
-	Machine   MachineKind
-	Cells     int
-	Procs     []int
-	LogKeys   int
-	LogMaxKey int
+	Machine   MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
+	Cells     int         `help:"machine size"`
+	Procs     []int       `help:"comma-separated processor counts"`
+	LogKeys   int         `help:"2^logkeys keys (paper: 23)"`
+	LogMaxKey int         `help:"keys < 2^logmaxkey (paper: 19)"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultISExperiment returns the scaled Table 2 setup (paper: 2^23 keys).
@@ -260,13 +281,13 @@ func Figure8(cg, is KernelTableResult) string {
 
 // SPExperimentConfig parameterizes the Table 3 and Table 4 runs.
 type SPExperimentConfig struct {
-	Machine    MachineKind
-	Cells      int
-	Procs      []int
-	Nx, Ny, Nz int
-	Iterations int
+	Machine    MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
+	Cells      int         `help:"machine size"`
+	Procs      []int       `help:"comma-separated processor counts"`
+	Nx, Ny, Nz int         `help:"grid points along this axis (paper: 64)"`
+	Iterations int         `flag:"iters" help:"iterations (paper runs 400)"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultSPExperiment returns the Table 3 setup at the paper's 64x64x64
@@ -345,13 +366,13 @@ func RunSPExperiment(cfg SPExperimentConfig) (SPTableResult, error) {
 // BTExperimentConfig parameterizes the Block Tridiagonal extension run
 // (the third code of the paper's reference [6]).
 type BTExperimentConfig struct {
-	Machine    MachineKind
-	Cells      int
-	Procs      []int
-	Nx, Ny, Nz int
-	Iterations int
+	Machine    MachineKind `help:"machine model: ksr1 | ksr2 | symmetry | butterfly"`
+	Cells      int         `help:"machine size"`
+	Procs      []int       `help:"comma-separated processor counts"`
+	Nx, Ny, Nz int         `help:"grid points along this axis"`
+	Iterations int         `flag:"iters" help:"iterations"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultBTExperiment returns a moderate BT sweep.
@@ -433,10 +454,10 @@ func (r SPOptsResult) String() string {
 // ladder runs at.
 type SPOptsConfig struct {
 	SPExperimentConfig
-	OptProcs int
+	OptProcs int `help:"processor count the ladder runs at (paper: 30)"`
 }
 
-// DefaultSPOptsConfig mirrors `ksrsim sp -opts` at its default size.
+// DefaultSPOptsConfig runs the ladder on the Table 3 grid at 16 processors.
 func DefaultSPOptsConfig() SPOptsConfig {
 	return SPOptsConfig{SPExperimentConfig: DefaultSPExperiment(), OptProcs: 16}
 }

@@ -28,187 +28,74 @@ type Runner struct {
 	Run func(sess *obs.Session, cfg any) (any, error)
 }
 
-// registry holds every config-driven experiment. The npb/bench/all CLI
-// commands stay CLI-only: they are presentation wrappers, not single
-// config→result functions, so they have no deterministic cacheable form.
-var registry = map[string]Runner{
-	"latency": {
-		Name: "latency", Describe: "Figure 2: read/write latencies per memory-hierarchy level",
-		New: func() any { c := DefaultLatencyConfig(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*LatencyConfig)
-			c.Obs = s
-			return RunLatency(c)
-		},
-	},
-	"alloc": {
-		Name: "alloc", Describe: "Section 3.1: block/page allocation overheads",
-		New: func() any { c := DefaultAllocConfig(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*AllocConfig)
-			c.Obs = s
-			return RunAlloc(c)
-		},
-	},
-	"locks": {
-		Name: "locks", Describe: "Figure 3: hardware exclusive vs software read-write lock",
-		New: func() any { c := DefaultLocksConfig(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*LocksConfig)
-			c.Obs = s
-			return RunLocks(c)
-		},
-	},
-	"barriers": {
-		Name: "barriers", Describe: "Figures 4/5: barrier algorithms vs processor count",
-		New: func() any { c := DefaultBarriersConfig(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*BarriersConfig)
-			c.Obs = s
-			return RunBarriers(c)
-		},
-	},
-	"compare": {
-		Name: "compare", Describe: "Section 3.2.3: barriers on Symmetry (bus) and Butterfly (MIN)",
-		New: func() any { c := DefaultCompareConfig(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*CompareConfig)
-			c.Obs = s
-			return RunComparison(c)
-		},
-	},
-	"ep": {
-		Name: "ep", Describe: "Section 3.3: Embarrassingly Parallel scalability",
-		New: func() any { c := DefaultEPExperiment(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*EPConfig)
-			c.Obs = s
-			return RunEPExperiment(c)
-		},
-	},
-	"cg": {
-		Name: "cg", Describe: "Table 1 + Figure 8: Conjugate Gradient",
-		New: func() any { c := DefaultCGExperiment(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*CGExperimentConfig)
-			c.Obs = s
-			return RunCGExperiment(c)
-		},
-	},
-	"is": {
-		Name: "is", Describe: "Table 2 + Figure 8: Integer Sort",
-		New: func() any { c := DefaultISExperiment(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*ISExperimentConfig)
-			c.Obs = s
-			return RunISExperiment(c)
-		},
-	},
-	"sp": {
-		Name: "sp", Describe: "Table 3: Scalar Pentadiagonal",
-		New: func() any { c := DefaultSPExperiment(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*SPExperimentConfig)
-			c.Obs = s
-			return RunSPExperiment(c)
-		},
-	},
-	"spopts": {
-		Name: "spopts", Describe: "Table 4: SP optimization ladder (pad/prefetch/poststore)",
-		New: func() any { c := DefaultSPOptsConfig(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*SPOptsConfig)
-			c.Obs = s
-			return RunSPOpts(c)
-		},
-	},
-	"bt": {
-		Name: "bt", Describe: "extension: Block Tridiagonal",
-		New: func() any { c := DefaultBTExperiment(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*BTExperimentConfig)
-			c.Obs = s
-			return RunBTExperiment(c)
-		},
-	},
-	"bigep": {
-		Name: "bigep", Describe: "extension: EP on the partitioned two-level ring, to 1088 cells",
-		New: func() any { c := DefaultBigEPExperiment(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*BigEPConfig)
-			c.Obs = s
-			return RunBigEPExperiment(c)
-		},
-	},
-	"biglatency": {
-		Name: "biglatency", Describe: "extension: cross-ring fetch latency on the two-level ring",
-		New: func() any { c := DefaultBigLatencyExperiment(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*BigLatencyConfig)
-			c.Obs = s
-			return RunBigLatency(c)
-		},
-	},
-	"qlocks": {
-		Name: "qlocks", Describe: "extension: Anderson/MCS queue locks vs the hardware lock",
-		New: func() any { c := DefaultQueueLocksConfig(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*QueueLocksConfig)
-			c.Obs = s
-			return RunQueueLocks(c)
-		},
-	},
-	"saturation": {
-		Name: "saturation", Describe: "extension: offered-load sweep of the ring's slot capacity",
-		New: func() any { c := DefaultSaturationConfig(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*SaturationConfig)
-			c.Obs = s
-			return RunSaturation(c)
-		},
-	},
-	"capacity": {
-		Name: "capacity", Describe: "extension: the superunitary-speedup (cache capacity) effect",
-		New: func() any { c := DefaultCapacityConfig(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*CapacityConfig)
-			c.Obs = s
-			return RunCapacityEffect(c)
-		},
-	},
-	"faults": {
-		Name: "faults", Describe: "extension: degradation sweep under injected faults",
-		New: func() any { c := DefaultDegradationConfig(); return &c },
-		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*DegradationConfig)
-			c.Obs = s
-			return RunDegradation(c)
-		},
-	},
+// observed is embedded in every experiment config. Obs, when set, is the
+// session a run records into instead of the process-global one; it is
+// excluded from JSON so job specs hash only the physical configuration.
+type observed struct {
+	Obs *obs.Session `json:"-"`
 }
 
-// workloadRunner builds the registry entry for one built-in workload
-// preset; the preset's full spec is the default config, so submitted
-// JSON can override any knob and still canonicalize completely.
-func workloadRunner(preset, describe string) Runner {
+func (o *observed) observe(s *obs.Session) { o.Obs = s }
+
+// config is what entry needs of a config type C: *C records into a
+// session, which every config gets by embedding observed.
+type config[C any] interface {
+	*C
+	observe(*obs.Session)
+}
+
+// entry builds the runner for one experiment from its default-config
+// constructor and its config-to-result function.
+func entry[C, R any, P config[C]](name, describe string, defaults func() C, run func(C) (R, error)) Runner {
 	return Runner{
-		Name: "wl-" + preset, Describe: describe,
-		New: func() any { c := DefaultWorkloadConfig(preset); return &c },
+		Name: name, Describe: describe,
+		New: func() any { c := defaults(); return &c },
 		Run: func(s *obs.Session, cfg any) (any, error) {
-			c := *cfg.(*WorkloadConfig)
-			c.Obs = s
-			return RunWorkload(c)
+			c := *cfg.(*C)
+			P(&c).observe(s)
+			return run(c)
 		},
 	}
 }
 
+// workloadEntry builds the runner for one built-in workload preset; the
+// preset's full spec is the default config, so submitted JSON can
+// override any knob and still canonicalize completely.
+func workloadEntry(preset, describe string) Runner {
+	defaults := func() WorkloadConfig { return DefaultWorkloadConfig(preset) }
+	return entry("wl-"+preset, describe, defaults, RunWorkload)
+}
+
+// registry holds every config-driven experiment. The npb/bench/all CLI
+// commands stay CLI-only: they are presentation wrappers, not single
+// config→result functions, so they have no deterministic cacheable form.
+var registry = map[string]Runner{}
+
 func init() {
 	for _, r := range []Runner{
-		workloadRunner("producer-consumer", "workload engine: producer-consumer pipeline (segmented migratory sharing)"),
-		workloadRunner("stencil", "workload engine: 1-D stencil with halo exchange and per-iteration barrier"),
-		workloadRunner("false-sharing", "workload engine: write-heavy false-sharing stress (packed per-proc words)"),
-		workloadRunner("hot-lock", "workload engine: hot-lock contention with think time"),
-		workloadRunner("multi-tenant", "workload engine: lock-bound service vs bursty scan on pinned cell ranges"),
+		entry("latency", "Figure 2: read/write latencies per memory-hierarchy level", DefaultLatencyConfig, RunLatency),
+		entry("alloc", "Section 3.1: block/page allocation overheads", DefaultAllocConfig, RunAlloc),
+		entry("locks", "Figure 3: hardware exclusive vs software read-write lock", DefaultLocksConfig, RunLocks),
+		entry("barriers", "Figures 4/5: barrier algorithms vs processor count", DefaultBarriersConfig, RunBarriers),
+		entry("compare", "Section 3.2.3: barriers on Symmetry (bus) and Butterfly (MIN)", DefaultCompareConfig, RunComparison),
+		entry("ep", "Section 3.3: Embarrassingly Parallel scalability", DefaultEPExperiment, RunEPExperiment),
+		entry("cg", "Table 1 + Figure 8: Conjugate Gradient", DefaultCGExperiment, RunCGExperiment),
+		entry("cgpoststore", "Section 3.3.1: CG speedup from poststore, per processor count", DefaultCGExperiment, RunCGPoststoreAblation),
+		entry("is", "Table 2 + Figure 8: Integer Sort", DefaultISExperiment, RunISExperiment),
+		entry("sp", "Table 3: Scalar Pentadiagonal", DefaultSPExperiment, RunSPExperiment),
+		entry("spopts", "Table 4: SP optimization ladder (pad/prefetch/poststore)", DefaultSPOptsConfig, RunSPOpts),
+		entry("bt", "extension: Block Tridiagonal", DefaultBTExperiment, RunBTExperiment),
+		entry("bigep", "extension: EP on the partitioned two-level ring, to 1088 cells", DefaultBigEPExperiment, RunBigEPExperiment),
+		entry("biglatency", "extension: cross-ring fetch latency on the two-level ring", DefaultBigLatencyExperiment, RunBigLatency),
+		entry("qlocks", "extension: Anderson/MCS queue locks vs the hardware lock", DefaultQueueLocksConfig, RunQueueLocks),
+		entry("saturation", "extension: offered-load sweep of the ring's slot capacity", DefaultSaturationConfig, RunSaturation),
+		entry("capacity", "extension: the superunitary-speedup (cache capacity) effect", DefaultCapacityConfig, RunCapacityEffect),
+		entry("faults", "extension: degradation sweep under injected faults", DefaultDegradationConfig, RunDegradation),
+		workloadEntry("producer-consumer", "workload engine: producer-consumer pipeline (segmented migratory sharing)"),
+		workloadEntry("stencil", "workload engine: 1-D stencil with halo exchange and per-iteration barrier"),
+		workloadEntry("false-sharing", "workload engine: write-heavy false-sharing stress (packed per-proc words)"),
+		workloadEntry("hot-lock", "workload engine: hot-lock contention with think time"),
+		workloadEntry("multi-tenant", "workload engine: lock-bound service vs bursty scan on pinned cell ranges"),
 	} {
 		registry[r.Name] = r
 	}

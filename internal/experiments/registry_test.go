@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/resultcache"
 )
 
 func TestRegistryNamesAndDefaults(t *testing.T) {
@@ -14,7 +18,7 @@ func TestRegistryNamesAndDefaults(t *testing.T) {
 		t.Fatalf("Experiments() returned %d names, registry has %d", len(names), len(registry))
 	}
 	for _, want := range []string{"latency", "alloc", "locks", "barriers", "compare",
-		"ep", "cg", "is", "sp", "spopts", "bt", "qlocks", "saturation", "capacity", "faults"} {
+		"ep", "cg", "cgpoststore", "is", "sp", "spopts", "bt", "qlocks", "saturation", "capacity", "faults"} {
 		r, ok := LookupExperiment(want)
 		if !ok {
 			t.Fatalf("experiment %q not registered", want)
@@ -125,5 +129,44 @@ func TestRegistrySweepProgressAndCancel(t *testing.T) {
 	cfg2, _ := r.DecodeConfig([]byte(`{"Cells": 4, "Procs": [1, 2], "Episodes": 2, "Algorithms": ["counter"]}`))
 	if _, err := r.Run(cancelled, cfg2); err == nil {
 		t.Error("cancelled session did not abort the sweep")
+	}
+}
+
+// TestCanonicalDefaultsGolden pins every registered experiment's
+// canonical default config and its result-cache key: one line per
+// entry, "name key json". A change to a config struct that moves these
+// bytes silently cold-starts every daemon's cache and splits one result
+// across two keys. Regenerate after an intentional change with:
+//
+//	KSRSIM_UPDATE_GOLDEN=1 go test ./internal/experiments -run CanonicalDefaultsGolden
+func TestCanonicalDefaultsGolden(t *testing.T) {
+	var b strings.Builder
+	for _, name := range Experiments() {
+		r, _ := LookupExperiment(name)
+		cfg, err := r.DecodeConfig(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, err := r.CanonicalConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %s %s\n", name, resultcache.Key(name, canon), canon)
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "canonical_defaults.txt")
+	if os.Getenv("KSRSIM_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with KSRSIM_UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("canonical default configs diverged from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }

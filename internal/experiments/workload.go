@@ -17,7 +17,7 @@ type WorkloadConfig struct {
 	Spec  workload.Spec `json:"spec"`
 	Procs []int         `json:"procs,omitempty"`
 
-	Obs *obs.Session `json:"-"`
+	observed
 }
 
 // DefaultWorkloadConfig returns the sweep config for a built-in preset.
