@@ -260,13 +260,13 @@ func BenchmarkTable3SP(b *testing.B) {
 // BenchmarkTable4SPOpts regenerates Table 4 (the SP optimization ladder
 // plus the poststore ablation).
 func BenchmarkTable4SPOpts(b *testing.B) {
-	cfg := experiments.DefaultSPExperiment()
+	cfg := experiments.DefaultSPOptsConfig()
 	cfg.Nx, cfg.Ny, cfg.Nz = 64, 64, 16 // plane size that aliases the sub-cache
-	cfg.Iterations = 1
+	cfg.Iterations, cfg.OptProcs = 1, 16
 	var res experiments.SPOptsResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.RunSPOpts(experiments.SPOptsConfig{SPExperimentConfig: cfg, OptProcs: 16})
+		res, err = experiments.RunSPOpts(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

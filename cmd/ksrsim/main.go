@@ -461,9 +461,9 @@ func cmdAll(args []string) {
 	emit(sp)
 
 	section("E10: Table 4 — SP optimizations")
-	spoCfg := experiments.DefaultSPExperiment()
+	spoCfg := experiments.DefaultSPOptsConfig()
 	spoCfg.Nz = 16 // keep the z-plane size that aliases the sub-cache, cheaply
-	spo, err := experiments.RunSPOpts(experiments.SPOptsConfig{SPExperimentConfig: spoCfg, OptProcs: 16})
+	spo, err := experiments.RunSPOpts(spoCfg)
 	if err != nil {
 		fail(err)
 	}

@@ -164,11 +164,14 @@ type Directory struct {
 	fab   fabric.Fabric
 	cells int
 
-	// fabAccessThen is fab.AccessThen, bound once: steps call it as a
-	// plain function value, and ksrlint/hotalloc checks each fabric's
-	// AccessThen where it is declared.
-	fabAccessThen func(p *sim.Process, src, dst int, addr memory.Addr, done func())
-	txs           []*dirTx // per-process synchronous transactions, by process id
+	// fabAccessThen and fabAccessAsync are fab's AccessThen and
+	// AccessAsync, bound once: steps call them as plain function values,
+	// and ksrlint/hotalloc checks each fabric's methods where they are
+	// declared.
+	fabAccessThen  func(p *sim.Process, src, dst int, addr memory.Addr, done func())
+	fabAccessAsync func(src, dst int, addr memory.Addr, done func())
+	txs            []*dirTx // per-process synchronous transactions, by process id
+	freeAsync      *asyncTx // pooled async transaction records
 
 	entries map[memory.SubPageID]*entry
 	stats   Stats
@@ -247,11 +250,12 @@ func (d *Directory) crossDomainTarget(cell int, affected bitset) int {
 // NewDirectory creates the directory for a machine with the given fabric.
 func NewDirectory(e *sim.Engine, fab fabric.Fabric) *Directory {
 	return &Directory{
-		eng:           e,
-		fab:           fab,
-		fabAccessThen: fab.AccessThen,
-		cells:         fab.Nodes(),
-		entries:       make(map[memory.SubPageID]*entry),
+		eng:            e,
+		fab:            fab,
+		fabAccessThen:  fab.AccessThen,
+		fabAccessAsync: fab.AccessAsync,
+		cells:          fab.Nodes(),
+		entries:        make(map[memory.SubPageID]*entry),
 	}
 }
 
@@ -458,35 +462,118 @@ func (d *Directory) traceNACK(src, attempt int, delay sim.Time) {
 		obs.Arg{Key: "attempt", Val: int64(attempt)}, obs.Arg{Key: "backoff_ns", Val: int64(delay)})
 }
 
-// accessAsync is the fire-and-forget analogue of access, used by
-// poststore and prefetch: a dropped (NACKed) packet is re-issued after
-// the same exponential backoff, scheduled on the engine since no process
-// waits on it.
-func (d *Directory) accessAsync(src, dst int, addr memory.Addr, done func()) {
-	attempt := 0
-	var try func()
-	try = func() {
-		d.fab.AccessAsync(src, dst, addr, func() {
-			if d.Faults.NACK(attempt) {
-				d.stats.NACKs++
-				d.stats.Retries++
-				delay := d.Faults.Backoff(attempt)
-				d.stats.BackoffTime += delay
-				if d.Obs != nil {
-					d.Obs.Instant(obs.CatCoh, src, "nack.async",
-						obs.Arg{Key: "attempt", Val: int64(attempt)}, obs.Arg{Key: "backoff_ns", Val: int64(delay)})
-				}
-				attempt++
-				d.eng.Schedule(delay, try)
-				return
-			}
-			if attempt > d.stats.MaxRetryRun {
-				d.stats.MaxRetryRun = attempt
-			}
-			done()
-		})
+// asyncTx is one fire-and-forget protocol transaction, a poststore or a
+// prefetch, run as a chain of engine callbacks: the fabric transaction,
+// NACK backoffs and retries, then the completion that updates the
+// sub-page. Records are pooled on the directory with their step method
+// values bound once, like dirTx, so once the pool holds the peak number
+// in flight a poststore allocates nothing.
+type asyncTx struct {
+	d    *Directory
+	next *asyncTx // free list
+
+	cell int // the issuing cell
+	sp   memory.SubPageID
+	en   *entry
+	done func() // the caller's completion callback, nil for none
+
+	dst       int
+	attempt   int
+	completed func() // poststoredFn or prefetchedFn
+
+	tryFn        func()
+	landedFn     func()
+	poststoredFn func()
+	prefetchedFn func()
+}
+
+// takeAsync takes a record from the pool for an async transaction by
+// cell on sp.
+//
+//ksr:hotpath
+func (d *Directory) takeAsync(cell int, sp memory.SubPageID, en *entry, done func()) *asyncTx {
+	t := d.freeAsync
+	if t == nil {
+		t = d.newAsync()
+	} else {
+		d.freeAsync = t.next
 	}
-	try()
+	t.cell, t.sp, t.en, t.done = cell, sp, en, done
+	return t
+}
+
+// newAsync creates an async transaction record when every pooled one is
+// in flight.
+//
+//ksr:coldpath once per concurrent async transaction at the peak
+func (d *Directory) newAsync() *asyncTx {
+	t := &asyncTx{d: d}
+	t.tryFn, t.landedFn = t.try, t.landed
+	t.poststoredFn, t.prefetchedFn = t.poststored, t.prefetched
+	return t
+}
+
+// access is the fire-and-forget analogue of accessThen, used by
+// poststore and prefetch: one transaction from t's cell to dst for its
+// sub-page, where a dropped (NACKed) packet is re-issued after the same
+// exponential backoff, scheduled on the engine since no process waits on
+// it. completed runs once the transaction lands.
+//
+//ksr:hotpath
+func (t *asyncTx) access(dst int, completed func()) {
+	t.dst, t.completed, t.attempt = dst, completed, 0
+	t.try()
+}
+
+// try issues the transaction on the fabric.
+//
+//ksr:hotpath
+func (t *asyncTx) try() {
+	t.d.fabAccessAsync(t.cell, t.dst, t.sp.Base(), t.landedFn)
+}
+
+// landed completes the transaction, or backs off after a NACK.
+//
+//ksr:hotpath
+func (t *asyncTx) landed() {
+	d := t.d
+	if d.Faults.NACK(t.attempt) {
+		d.stats.NACKs++
+		d.stats.Retries++
+		delay := d.Faults.Backoff(t.attempt)
+		d.stats.BackoffTime += delay
+		if d.Obs != nil {
+			d.traceAsyncNACK(t.cell, t.attempt, delay)
+		}
+		t.attempt++
+		d.eng.Schedule(delay, t.tryFn)
+		return
+	}
+	if t.attempt > d.stats.MaxRetryRun {
+		d.stats.MaxRetryRun = t.attempt
+	}
+	t.completed()
+}
+
+// finish returns t to the pool and runs the caller's callback.
+//
+//ksr:hotpath
+func (t *asyncTx) finish() {
+	d, done := t.d, t.done
+	t.en, t.done, t.completed = nil, nil, nil
+	t.next = d.freeAsync
+	d.freeAsync = t
+	if done != nil {
+		done()
+	}
+}
+
+// traceAsyncNACK records a NACK absorbed by an async transaction.
+//
+//ksr:coldpath tracing only: reached when the coh category is armed
+func (d *Directory) traceAsyncNACK(src, attempt int, delay sim.Time) {
+	d.Obs.Instant(obs.CatCoh, src, "nack.async",
+		obs.Arg{Key: "attempt", Val: int64(attempt)}, obs.Arg{Key: "backoff_ns", Val: int64(delay)})
 }
 
 // InvariantError reports a violated protocol invariant: which sub-page,
@@ -1101,6 +1188,8 @@ func (d *Directory) ReleaseSubPage(p *sim.Process, cell int, sp memory.SubPageID
 // the issuer pays an upgrade transaction on its next write — the
 // interaction that slowed SP down in the paper. done, if non-nil, runs at
 // completion.
+//
+//ksr:hotpath
 func (d *Directory) Poststore(cell int, sp memory.SubPageID, done func()) {
 	en := d.get(sp)
 	d.stats.Poststores++
@@ -1108,36 +1197,48 @@ func (d *Directory) Poststore(cell int, sp memory.SubPageID, done func()) {
 	if x := d.crossDomainTarget(cell, en.placeholders); x >= 0 {
 		dst = x
 	}
-	d.accessAsync(cell, dst, sp.Base(), func() {
-		filled := 0
-		for wi := range en.placeholders {
-			w := en.placeholders[wi]
-			if w == 0 {
-				continue
-			}
-			en.placeholders[wi] = 0
-			for ; w != 0; w &= w - 1 {
-				en.holders.set(wi<<6 + bits.TrailingZeros64(w))
-				d.stats.PoststoreFill++
-				filled++
-			}
+	t := d.takeAsync(cell, sp, en, done)
+	t.access(dst, t.poststoredFn)
+}
+
+// poststored fills every place-holder of the circulated sub-page.
+//
+//ksr:hotpath
+func (t *asyncTx) poststored() {
+	d, en := t.d, t.en
+	filled := 0
+	for wi := range en.placeholders {
+		w := en.placeholders[wi]
+		if w == 0 {
+			continue
 		}
-		if d.Obs != nil {
-			d.Obs.Instant(obs.CatCoh, cell, "poststore.fill",
-				obs.Arg{Key: "sp", Val: int64(sp)}, obs.Arg{Key: "filled", Val: int64(filled)})
+		en.placeholders[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			en.holders.set(wi<<6 + bits.TrailingZeros64(w))
+			d.stats.PoststoreFill++
+			filled++
 		}
-		if en.owner == cell && !en.atomic {
-			en.owner = -1 // now shared
-		}
-		en.version++
-		if en.cond != nil {
-			en.cond.Broadcast()
-		}
-		d.checkpoint(sp, en)
-		if done != nil {
-			done()
-		}
-	})
+	}
+	if d.Obs != nil {
+		d.tracePoststoreFill(t.cell, t.sp, filled)
+	}
+	if en.owner == t.cell && !en.atomic {
+		en.owner = -1 // now shared
+	}
+	en.version++
+	if en.cond != nil {
+		en.cond.Broadcast()
+	}
+	d.checkpoint(t.sp, en)
+	t.finish()
+}
+
+// tracePoststoreFill records the place-holders a poststore filled.
+//
+//ksr:coldpath tracing only: reached when the coh category is armed
+func (d *Directory) tracePoststoreFill(cell int, sp memory.SubPageID, filled int) {
+	d.Obs.Instant(obs.CatCoh, cell, "poststore.fill",
+		obs.Arg{Key: "sp", Val: int64(sp)}, obs.Arg{Key: "filled", Val: int64(filled)})
 }
 
 // Prefetch issues a non-blocking fetch of sp into cell's local cache. The
@@ -1145,6 +1246,8 @@ func (d *Directory) Poststore(cell int, sp memory.SubPageID, done func()) {
 // before completion joins the in-flight fetch instead of paying a second
 // transaction. done, if non-nil, runs at completion (the machine layer
 // uses it to fill the local cache).
+//
+//ksr:hotpath
 func (d *Directory) Prefetch(cell int, sp memory.SubPageID, done func()) {
 	en := d.get(sp)
 	if en.holders.has(cell) || en.prefetching.has(cell) {
@@ -1156,23 +1259,28 @@ func (d *Directory) Prefetch(cell int, sp memory.SubPageID, done func()) {
 	d.stats.Prefetches++
 	en.prefetching.set(cell)
 	dst := d.responder(en, cell)
-	d.accessAsync(cell, dst, sp.Base(), func() {
-		en.prefetching.clear(cell)
-		if en.owner >= 0 && !en.atomic {
-			en.owner = -1
-		}
-		en.holders.set(cell)
-		en.placeholders.clear(cell)
-		d.snarf(en)
-		en.version++
-		if en.cond != nil {
-			en.cond.Broadcast()
-		}
-		d.checkpoint(sp, en)
-		if done != nil {
-			done()
-		}
-	})
+	t := d.takeAsync(cell, sp, en, done)
+	t.access(dst, t.prefetchedFn)
+}
+
+// prefetched installs the prefetched copy at the requesting cell.
+//
+//ksr:hotpath
+func (t *asyncTx) prefetched() {
+	d, en, cell := t.d, t.en, t.cell
+	en.prefetching.clear(cell)
+	if en.owner >= 0 && !en.atomic {
+		en.owner = -1
+	}
+	en.holders.set(cell)
+	en.placeholders.clear(cell)
+	d.snarf(en)
+	en.version++
+	if en.cond != nil {
+		en.cond.Broadcast()
+	}
+	d.checkpoint(t.sp, en)
+	t.finish()
 }
 
 // Drop records a capacity eviction of sp from cell (reported by the local

@@ -75,6 +75,9 @@ func RunBarriers(cfg BarriersConfig) (BarriersResult, error) {
 	if err := checkProcs(cfg.Procs); err != nil {
 		return BarriersResult{}, err
 	}
+	if err := checkEpisodes("barriers", cfg.Episodes); err != nil {
+		return BarriersResult{}, err
+	}
 	procs := cfg.Procs
 	if procs == nil {
 		procs = DefaultProcSweep(cfg.Cells)
@@ -125,16 +128,12 @@ func barrierPoint(cfg BarriersConfig, f ksync.Factory, pn int) (sim.Time, error)
 		return 0, err
 	}
 	b := f.New(m, pn)
-	episodes := cfg.Episodes
-	if episodes < 1 {
-		episodes = 1
-	}
 	var total sim.Time
 	_, err = m.Run(pn, func(p *machine.Proc) {
 		// Warm up one episode (cold-cache allocation effects), then time.
 		b.Wait(p)
 		start := p.Now()
-		for ep := 0; ep < episodes; ep++ {
+		for ep := 0; ep < cfg.Episodes; ep++ {
 			b.Wait(p)
 		}
 		if p.CellID() == 0 {
@@ -144,7 +143,15 @@ func barrierPoint(cfg BarriersConfig, f ksync.Factory, pn int) (sim.Time, error)
 	if err != nil {
 		return 0, err
 	}
-	return total / sim.Time(episodes), nil
+	return total / sim.Time(cfg.Episodes), nil
+}
+
+// checkEpisodes rejects a sweep with no barrier episode to time.
+func checkEpisodes(experiment string, episodes int) error {
+	if episodes < 1 {
+		return fmt.Errorf("experiments: %s needs at least one barrier episode (got %d)", experiment, episodes)
+	}
+	return nil
 }
 
 // CompareResult bundles the Section 3.2.3 cross-architecture runs.
@@ -180,6 +187,9 @@ func DefaultCompareConfig() CompareConfig {
 // perform poorly there.
 func RunComparison(cfg CompareConfig) (CompareResult, error) {
 	var res CompareResult
+	if err := checkEpisodes("compare", cfg.Episodes); err != nil {
+		return res, err
+	}
 	var err error
 	res.Symmetry, err = RunBarriers(BarriersConfig{
 		Machine: SymmetryKind, Cells: cfg.Cells, Episodes: cfg.Episodes, Procs: cfg.Procs, observed: cfg.observed,

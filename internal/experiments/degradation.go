@@ -128,8 +128,8 @@ func RunDegradation(c DegradationConfig) (DegradationResult, error) {
 	if c.Procs < 1 || c.Procs > c.Cells {
 		return DegradationResult{}, fmt.Errorf("experiments: degradation needs 1..%d procs (got %d)", c.Cells, c.Procs)
 	}
-	if c.Episodes < 1 {
-		return DegradationResult{}, fmt.Errorf("experiments: degradation needs at least one barrier episode (got %d)", c.Episodes)
+	if err := checkEpisodes("degradation", c.Episodes); err != nil {
+		return DegradationResult{}, err
 	}
 	for _, rate := range c.Rates {
 		if rate < 0 || rate > 1 {

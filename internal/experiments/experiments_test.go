@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -289,6 +290,61 @@ func TestCGExperimentShape(t *testing.T) {
 	}
 }
 
+// TestCGRejectsDegenerateMatrix checks that a CG config whose matrix
+// would be the identity fails as a config error, in the CG experiment
+// and in the fault sweep, instead of running to NaN residuals.
+func TestCGRejectsDegenerateMatrix(t *testing.T) {
+	for _, nnz := range []int{0, 250} {
+		cfg := DefaultCGExperiment()
+		cfg.N, cfg.NNZ, cfg.Iterations, cfg.Procs = 100, nnz, 3, []int{1, 2}
+		if _, err := RunCGExperiment(cfg); err == nil || !strings.Contains(err.Error(), "at least 3n = 300 nonzeros") {
+			t.Errorf("cg with n=100 nnz=%d: err = %v, want the 300-nonzero minimum", nnz, err)
+		}
+	}
+	d := DefaultDegradationConfig()
+	d.Cells, d.Procs, d.Rates, d.Episodes, d.LogPairs, d.CGNNZ = 4, 2, []float64{0.01}, 2, 8, 0
+	if _, err := RunDegradation(d); err == nil || !strings.Contains(err.Error(), "nonzeros") {
+		t.Errorf("faults with cgnnz=0: err = %v, want the CG config error", err)
+	}
+}
+
+// TestResidualsAgreeRejectsNaN pins the CG verification rule: residuals
+// agree within a relative tolerance, and a NaN never agrees.
+func TestResidualsAgreeRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		residuals []float64
+		want      bool
+	}{
+		{[]float64{1e-3, 1e-3 + 1e-10}, true},
+		{[]float64{1e-3, 2e-3}, false},
+		{[]float64{nan}, false},
+		{[]float64{nan, nan}, false},
+		{[]float64{1e-3, nan}, false},
+		{[]float64{math.Inf(1), math.Inf(1)}, false},
+	} {
+		if got := residualsAgree(c.residuals); got != c.want {
+			t.Errorf("residualsAgree(%v) = %v, want %v", c.residuals, got, c.want)
+		}
+	}
+}
+
+// TestBarrierSweepsRejectZeroEpisodes checks that barriers and compare
+// reject a sweep with no episode to time, as faults does, rather than
+// timing one episode under another cache key.
+func TestBarrierSweepsRejectZeroEpisodes(t *testing.T) {
+	b := DefaultBarriersConfig()
+	b.Cells, b.Procs, b.Algorithms, b.Episodes = 4, []int{2}, []string{"counter"}, 0
+	if _, err := RunBarriers(b); err == nil || !strings.Contains(err.Error(), "at least one barrier episode") {
+		t.Errorf("barriers with 0 episodes: err = %v", err)
+	}
+	c := DefaultCompareConfig()
+	c.Cells, c.Procs, c.Episodes = 4, []int{2}, 0
+	if _, err := RunComparison(c); err == nil || !strings.Contains(err.Error(), "at least one barrier episode") {
+		t.Errorf("compare with 0 episodes: err = %v", err)
+	}
+}
+
 func TestISExperimentShape(t *testing.T) {
 	cfg := DefaultISExperiment()
 	cfg.LogKeys, cfg.LogMaxKey = 14, 9
@@ -334,9 +390,9 @@ func TestSPExperimentShape(t *testing.T) {
 }
 
 func TestSPOptimizationLadder(t *testing.T) {
-	cfg := DefaultSPExperiment()
-	cfg.Nx, cfg.Ny, cfg.Nz, cfg.Iterations = 64, 64, 16, 1
-	res, err := RunSPOpts(SPOptsConfig{SPExperimentConfig: cfg, OptProcs: 8})
+	cfg := DefaultSPOptsConfig()
+	cfg.Nx, cfg.Ny, cfg.Nz, cfg.Iterations, cfg.OptProcs = 64, 64, 16, 1, 8
+	res, err := RunSPOpts(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

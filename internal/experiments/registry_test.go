@@ -87,6 +87,11 @@ func TestDecodeConfigStrictAndCanonical(t *testing.T) {
 	if strings.Contains(string(canonDefault), "Obs") {
 		t.Errorf("canonical config leaks the Obs session field: %s", canonDefault)
 	}
+	// spopts runs at OptProcs alone, so a processor list is not a field.
+	spo, _ := LookupExperiment("spopts")
+	if _, err := spo.DecodeConfig([]byte(`{"Procs": [0]}`)); err == nil {
+		t.Error("spopts accepted a Procs field it never reads")
+	}
 }
 
 func TestRegistryRunSmallExperiment(t *testing.T) {

@@ -30,6 +30,8 @@ type Bus struct {
 	trk tracker
 	rec *obs.Recorder // nil = no tracing
 	txs []*busTx      // per-process synchronous transactions, by process id
+
+	freeAsync *busAsync // pooled async transaction records
 }
 
 // busTx is one process's synchronous bus transaction as a chain of
@@ -140,18 +142,64 @@ func (b *Bus) traceTx(src, dst int, start, wait sim.Time) {
 		obs.Arg{Key: "dst", Val: int64(dst)}, obs.Arg{Key: "wait_ns", Val: int64(wait)})
 }
 
+// busAsync is one fire-and-forget bus transaction, pooled on the bus
+// like ringAsync.
+type busAsync struct {
+	b    *Bus
+	next *busAsync // free list
+	done func()
+
+	grantedFn func()
+	heldFn    func()
+}
+
 // AccessAsync implements Fabric.
+//
+//ksr:hotpath
 func (b *Bus) AccessAsync(src, dst int, addr memory.Addr, done func()) {
 	b.trk.begin()
-	b.bus.AcquireAsync(func() {
-		b.eng.Schedule(b.cfg.BusTime, func() {
-			b.bus.Release()
-			b.trk.end(0, 0, false)
-			if done != nil {
-				done()
-			}
-		})
-	})
+	t := b.freeAsync
+	if t == nil {
+		t = b.newAsync()
+	} else {
+		b.freeAsync = t.next
+	}
+	t.done = done
+	b.bus.AcquireAsync(t.grantedFn)
+}
+
+// newAsync creates an async transaction record when every pooled one is
+// in flight.
+//
+//ksr:coldpath once per concurrent async transaction at the peak
+func (b *Bus) newAsync() *busAsync {
+	t := &busAsync{b: b}
+	t.grantedFn, t.heldFn = t.granted, t.held
+	return t
+}
+
+// granted holds the bus for one transaction.
+//
+//ksr:hotpath
+func (t *busAsync) granted() {
+	t.b.eng.Schedule(t.b.cfg.BusTime, t.heldFn)
+}
+
+// held releases the bus and completes the transaction, returning the
+// record to the pool before the callback runs.
+//
+//ksr:hotpath
+func (t *busAsync) held() {
+	b := t.b
+	b.bus.Release()
+	b.trk.end(0, 0, false)
+	done := t.done
+	t.done = nil
+	t.next = b.freeAsync
+	b.freeAsync = t
+	if done != nil {
+		done()
+	}
 }
 
 // Stats implements Fabric.

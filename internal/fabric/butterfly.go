@@ -40,6 +40,8 @@ type Butterfly struct {
 	trk    tracker
 	rec    *obs.Recorder // nil = no tracing
 	txs    []*bflyTx     // per-process synchronous transactions, by process id
+
+	freeAsync *bflyAsync // pooled async transaction records
 }
 
 // bflyTx is one process's synchronous butterfly transaction as a chain of
@@ -183,23 +185,82 @@ func (bf *Butterfly) traceTx(src, mod int, start, wait sim.Time) {
 		obs.Arg{Key: "mod", Val: int64(mod)}, obs.Arg{Key: "wait_ns", Val: int64(wait)})
 }
 
+// bflyAsync is one fire-and-forget butterfly transaction, pooled on the
+// butterfly like ringAsync.
+type bflyAsync struct {
+	bf   *Butterfly
+	next *bflyAsync // free list
+	done func()
+	mod  *sim.Resource
+
+	arrivedFn  func()
+	grantedFn  func()
+	servedFn   func()
+	returnedFn func()
+}
+
 // AccessAsync implements Fabric.
+//
+//ksr:hotpath
 func (bf *Butterfly) AccessAsync(src, dst int, addr memory.Addr, done func()) {
 	bf.trk.begin()
-	mod := bf.mods[bf.HomeModule(addr)]
-	bf.eng.Schedule(sim.Time(bf.stages)*bf.cfg.HopTime, func() {
-		mod.AcquireAsync(func() {
-			bf.eng.Schedule(bf.cfg.MemTime, func() {
-				mod.Release()
-				bf.eng.Schedule(sim.Time(bf.stages)*bf.cfg.HopTime, func() {
-					bf.trk.end(0, 0, false)
-					if done != nil {
-						done()
-					}
-				})
-			})
-		})
-	})
+	t := bf.freeAsync
+	if t == nil {
+		t = bf.newAsync()
+	} else {
+		bf.freeAsync = t.next
+	}
+	t.mod, t.done = bf.mods[bf.HomeModule(addr)], done
+	bf.eng.Schedule(sim.Time(bf.stages)*bf.cfg.HopTime, t.arrivedFn)
+}
+
+// newAsync creates an async transaction record when every pooled one is
+// in flight.
+//
+//ksr:coldpath once per concurrent async transaction at the peak
+func (bf *Butterfly) newAsync() *bflyAsync {
+	t := &bflyAsync{bf: bf}
+	t.arrivedFn, t.grantedFn, t.servedFn, t.returnedFn = t.arrived, t.granted, t.served, t.returned
+	return t
+}
+
+// arrived queues the request at its home module.
+//
+//ksr:hotpath
+func (t *bflyAsync) arrived() {
+	t.mod.AcquireAsync(t.grantedFn)
+}
+
+// granted holds the module for one memory access.
+//
+//ksr:hotpath
+func (t *bflyAsync) granted() {
+	t.bf.eng.Schedule(t.bf.cfg.MemTime, t.servedFn)
+}
+
+// served frees the module and sends the response back through the MIN.
+//
+//ksr:hotpath
+func (t *bflyAsync) served() {
+	bf := t.bf
+	t.mod.Release()
+	bf.eng.Schedule(sim.Time(bf.stages)*bf.cfg.HopTime, t.returnedFn)
+}
+
+// returned completes the transaction, returning the record to the pool
+// before the callback runs.
+//
+//ksr:hotpath
+func (t *bflyAsync) returned() {
+	bf := t.bf
+	bf.trk.end(0, 0, false)
+	done := t.done
+	t.done, t.mod = nil, nil
+	t.next = bf.freeAsync
+	bf.freeAsync = t
+	if done != nil {
+		done()
+	}
 }
 
 // Stats implements Fabric.

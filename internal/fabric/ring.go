@@ -94,6 +94,8 @@ type Ring struct {
 	inj  *faults.Injector // nil = no fault injection
 	rec  *obs.Recorder    // nil = no tracing
 	txs  []*ringTx        // per-process synchronous transactions, by process id
+
+	freeAsync *ringAsync // pooled async transaction records
 }
 
 // ringTx is one process's synchronous ring transaction, run as a chain of
@@ -346,48 +348,129 @@ func (r *Ring) traceTx(src, dst int, start, wait sim.Time) {
 		obs.Arg{Key: "dst", Val: int64(dst)}, obs.Arg{Key: "wait_ns", Val: int64(wait)})
 }
 
+// ringAsync is one fire-and-forget ring transaction (AccessAsync), run
+// as a chain of engine callbacks with no process attached. Records are
+// pooled on the ring with their step method values bound once, so once
+// the pool holds the peak number in flight an async transaction
+// allocates nothing.
+type ringAsync struct {
+	r    *Ring
+	next *ringAsync // free list
+	done func()     // completion callback, nil for none
+
+	src, dst int
+	path     [maxPath]*sim.Resource
+	hops     int // rings on the path
+	hop      int // ring being crossed
+	lost     int // consecutive slot losses on this hop
+	start    sim.Time
+
+	grantedFn func()
+	heldFn    func()
+	hopDoneFn func()
+}
+
 // AccessAsync implements Fabric: the poststore path. The transaction
 // traverses the same ring path without any process attached.
+//
+//ksr:hotpath
 func (r *Ring) AccessAsync(src, dst int, addr memory.Addr, done func()) {
 	r.trk.begin()
-	start := r.eng.Now()
-	path, hops := r.path(src, dst, addr)
-	var step func(i, losses int)
-	step = func(i, losses int) {
-		if i == hops {
-			r.trk.end(0, 0, false)
-			if r.rec != nil {
-				r.rec.CompleteAt(obs.CatRing, src, "ring.tx.async", start, r.eng.Now(),
-					obs.Arg{Key: "dst", Val: int64(dst)})
-			}
-			if done != nil {
-				done()
-			}
-			return
-		}
-		res := path[i]
-		res.AcquireAsync(func() {
-			if r.rec != nil {
-				r.rec.Count(obs.CatRing, 0, res.Name(), int64(res.InUse()))
-			}
-			r.eng.Schedule(r.inj.DegradedHold(r.cfg.SlotHold), func() {
-				res.Release()
-				if r.rec != nil {
-					r.rec.Count(obs.CatRing, 0, res.Name(), int64(res.InUse()))
-				}
-				if r.inj.SlotLost(losses) {
-					step(i, losses+1) // packet corrupted: re-circulate this hop
-					return
-				}
-				d := r.cfg.Overhead
-				if i+1 < hops {
-					d += r.cfg.ARDCross // ARD hand-off before the next ring level
-				}
-				r.eng.Schedule(d, func() { step(i+1, 0) })
-			})
-		})
+	t := r.freeAsync
+	if t == nil {
+		t = r.newAsync()
+	} else {
+		r.freeAsync = t.next
 	}
-	step(0, 0)
+	t.start = r.eng.Now()
+	t.path, t.hops = r.path(src, dst, addr)
+	t.src, t.dst, t.done = src, dst, done
+	t.hop, t.lost = 0, 0
+	t.claim()
+}
+
+// newAsync creates an async transaction record when every pooled one is
+// in flight.
+//
+//ksr:coldpath once per concurrent async transaction at the peak
+func (r *Ring) newAsync() *ringAsync {
+	t := &ringAsync{r: r}
+	t.grantedFn, t.heldFn, t.hopDoneFn = t.granted, t.held, t.hopDone
+	return t
+}
+
+// claim queues for a slot on the hop's ring.
+//
+//ksr:hotpath
+func (t *ringAsync) claim() {
+	t.path[t.hop].AcquireAsync(t.grantedFn)
+}
+
+// granted holds the claimed slot for one (possibly degraded) rotation.
+//
+//ksr:hotpath
+func (t *ringAsync) granted() {
+	r := t.r
+	if r.rec != nil {
+		r.traceSlot(t.path[t.hop])
+	}
+	r.eng.Schedule(r.inj.DegradedHold(r.cfg.SlotHold), t.heldFn)
+}
+
+// held releases the slot after its rotation, re-circulating a lost packet
+// or paying the hop's fixed overhead and the ARD hand-off to the next
+// ring level.
+//
+//ksr:hotpath
+func (t *ringAsync) held() {
+	r, res := t.r, t.path[t.hop]
+	res.Release()
+	if r.rec != nil {
+		r.traceSlot(res)
+	}
+	if r.inj.SlotLost(t.lost) {
+		t.lost++ // packet corrupted: re-circulate this hop
+		t.claim()
+		return
+	}
+	d := r.cfg.Overhead
+	if t.hop+1 < t.hops {
+		d += r.cfg.ARDCross
+	}
+	r.eng.Schedule(d, t.hopDoneFn)
+}
+
+// hopDone moves on to the next ring on the path or completes the
+// transaction, returning the record to the pool before the callback runs.
+//
+//ksr:hotpath
+func (t *ringAsync) hopDone() {
+	t.hop++
+	t.lost = 0
+	if t.hop < t.hops {
+		t.claim()
+		return
+	}
+	r := t.r
+	r.trk.end(0, 0, false)
+	if r.rec != nil {
+		r.traceAsync(t.src, t.dst, t.start)
+	}
+	done := t.done
+	t.done = nil
+	t.next = r.freeAsync
+	r.freeAsync = t
+	if done != nil {
+		done()
+	}
+}
+
+// traceAsync records one async transaction.
+//
+//ksr:coldpath tracing only: reached when the ring category is armed
+func (r *Ring) traceAsync(src, dst int, start sim.Time) {
+	r.rec.CompleteAt(obs.CatRing, src, "ring.tx.async", start, r.eng.Now(),
+		obs.Arg{Key: "dst", Val: int64(dst)})
 }
 
 // Stats implements Fabric.

@@ -67,6 +67,16 @@ func RunCG(m *machine.Machine, cfg CGConfig) (CGResult, error) {
 	if cfg.Procs < 1 || cfg.N < cfg.Procs || cfg.Iterations < 1 {
 		return CGResult{}, fmt.Errorf("kernels: bad CG config %+v", cfg)
 	}
+	// RandomSPD places (NNZ-N)/(2N) mirrored off-diagonal pairs per row,
+	// so a smaller matrix is the identity, on which CG converges in one
+	// step and then divides 0/0.
+	if cfg.N < 2 {
+		return CGResult{}, fmt.Errorf("kernels: CG needs a matrix of order n >= 2, got %d", cfg.N)
+	}
+	if cfg.NNZ < 3*cfg.N {
+		return CGResult{}, fmt.Errorf("kernels: CG at n=%d needs at least 3n = %d nonzeros, got %d",
+			cfg.N, 3*cfg.N, cfg.NNZ)
+	}
 	a := RandomSPD(cfg.N, cfg.NNZ, cfg.Seed)
 	n := cfg.N
 	outer := cfg.OuterIterations

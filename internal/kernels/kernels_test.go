@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +189,30 @@ func TestCGRejectsBadConfig(t *testing.T) {
 	m := machine.New(machine.KSR1(2))
 	if _, err := RunCG(m, CGConfig{N: 1, Procs: 2, Iterations: 1}); err == nil {
 		t.Error("N < procs accepted")
+	}
+	// Fewer than 3N nonzeros, or N < 2, builds the identity matrix, on
+	// which CG divides 0/0 in its second iteration.
+	for _, c := range []struct {
+		n, nnz int
+		want   string
+	}{
+		{100, 0, "at least 3n = 300 nonzeros, got 0"},
+		{100, 250, "at least 3n = 300 nonzeros, got 250"},
+		{100, 299, "at least 3n = 300 nonzeros, got 299"},
+		{1, 50, "order n >= 2, got 1"},
+	} {
+		cfg := DefaultCGConfig(1)
+		cfg.N, cfg.NNZ, cfg.Iterations = c.n, c.nnz, 3
+		_, err := RunCG(machine.New(machine.KSR1(2)), cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("n=%d nnz=%d: err = %v, want %q", c.n, c.nnz, err, c.want)
+		}
+	}
+	cfg := DefaultCGConfig(2)
+	cfg.N, cfg.NNZ, cfg.Iterations = 100, 300, 3
+	res, err := RunCG(machine.New(machine.KSR1(2)), cfg)
+	if err != nil || math.IsNaN(res.Residual) || math.IsNaN(res.Zeta) {
+		t.Errorf("n=100 nnz=300 (the minimum): residual %v zeta %v err %v, want finite", res.Residual, res.Zeta, err)
 	}
 }
 

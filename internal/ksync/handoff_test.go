@@ -157,3 +157,33 @@ func BenchmarkCounterBarrier(b *testing.B) {
 	}
 	b.ReportMetric(float64(m.Engine().Handoffs()-handoffs)/float64(b.N), "handoffs/op")
 }
+
+// BenchmarkPoststoreBarrier measures one episode of the dissemination
+// barrier on 32 processors of a KSR-1: five rounds in which every
+// processor writes and poststores its partner's flag, so each episode
+// puts 160 fire-and-forget poststore transactions on the ring. After a
+// warm-up run the poststores' transaction records are pooled, so an
+// episode allocates nothing. The timer starts after one more episode,
+// once every process of the measured run has been spawned, so its
+// allocations stay out of allocs/op however small b.N is.
+func BenchmarkPoststoreBarrier(b *testing.B) {
+	const procs = 32
+	m := machine.New(machine.KSR1(procs))
+	bar := NewDissemination(m, procs)
+	if _, err := m.Run(procs, bar.Wait); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	_, err := m.Run(procs, func(p *machine.Proc) {
+		bar.Wait(p)
+		if p.CellID() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			bar.Wait(p)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

@@ -2,42 +2,48 @@ package sim
 
 import "math/bits"
 
-// The event queue is a calendar (ladder) queue tuned for the short-delay
+// The event queue is a calendar queue tuned for the short-delay
 // distribution the machine models generate: most events land within a few
-// microseconds of now (cache fills, ring hops, zero-delay wakeups), with a
-// long tail of far-future events (Compute blocks, watchdog-scale sleeps).
+// microseconds of now (cache fills, ring hops and slot holds, zero-delay
+// wakeups), with a long tail of far-future events (Compute blocks,
+// watchdog-scale sleeps).
 //
-// Near-future events go into a wheel of wheelSize one-nanosecond buckets
-// covering the fixed window [base, base+wheelSize). One bucket holds
-// exactly one instant of simulated time, so a bucket's intrusive FIFO list
-// is automatically in schedule (seq) order — the engine's same-time
-// tie-break comes for free. A 64-bit occupancy bitmap per 64 buckets lets
-// pop skip empty buckets a word at a time instead of scanning.
+// Near-future events go into a rolling wheel of wheelSize one-nanosecond
+// buckets covering [now, now+wheelSize), where now is the time of the last
+// pop: bucket at&wheelMask holds exactly one instant of that window. The
+// window rolls forward with every pop, so nothing is ever moved between
+// buckets. A bucket is one tail pointer into a circular list whose
+// tail.next is the head, so appends and pops are O(1) and a bucket costs
+// one word. Since one bucket holds one instant, its FIFO list is in
+// schedule (seq) order and the engine's same-time tie-break comes for
+// free. An occupancy bitmap, one bit per bucket, and a summary bitmap,
+// one bit per occupancy word, let pop find the next non-empty bucket
+// circularly from now in a few word operations.
 //
-// Events beyond the window go to a concrete-typed binary min-heap ordered
-// by (at, seq). Whenever the wheel drains, the window jumps forward to the
-// heap's minimum and every heap event inside the new window is transferred
-// into the wheel — in heap order, which preserves FIFO within buckets.
+// Events at least wheelSize ahead go to a concrete-typed binary min-heap
+// ordered by (at, seq) and stay there: pop takes the earlier of the heap
+// top and the wheel's next head by (at, seq). An instant can have events
+// in both (heap pushes at a time all come before its wheel pushes), and
+// the merge keeps them in seq order.
 //
 // Everything is intrusive (events chain through their own next pointers),
 // so the queue performs no allocation on push or pop.
 
 const (
-	wheelBits = 12
+	wheelBits = 13
 	wheelSize = 1 << wheelBits // window width in simulated nanoseconds
 	wheelMask = wheelSize - 1
+	occWords  = wheelSize / 64 // occupancy words, one bit per bucket
 )
 
-type bucket struct{ head, tail *event }
-
 type eventQueue struct {
+	now        Time // time of the last pop; the wheel covers [now, now+wheelSize)
 	size       int
-	base       Time // window start, aligned to wheelSize
-	cursor     int  // bucket index scanning resumes from
 	wheelCount int
-	buckets    [wheelSize]bucket
-	occ        [wheelSize / 64]uint64
-	overflow   []*event // min-heap by (at, seq)
+	tails      [wheelSize]*event // per-instant circular FIFO; tail.next is the head
+	occ        [occWords]uint64
+	summary    [occWords / 64]uint64 // bit w set when occ[w] != 0
+	overflow   []*event              // min-heap by (at, seq)
 }
 
 func eventBefore(a, b *event) bool {
@@ -49,27 +55,28 @@ func eventBefore(a, b *event) bool {
 //
 //ksr:hotpath
 func (q *eventQueue) push(ev *event) {
-	ev.next = nil
 	ev.queued = true
 	q.size++
-	if ev.at < q.base+wheelSize {
+	if ev.at-q.now < wheelSize {
 		q.bucketAppend(ev)
 		return
 	}
+	ev.next = nil
 	q.heapPush(ev)
 }
 
 //ksr:hotpath
 func (q *eventQueue) bucketAppend(ev *event) {
 	i := int(ev.at) & wheelMask
-	b := &q.buckets[i]
-	if b.tail == nil {
-		b.head = ev
-		q.occ[i>>6] |= 1 << (i & 63)
+	if tail := q.tails[i]; tail != nil {
+		ev.next = tail.next
+		tail.next = ev
 	} else {
-		b.tail.next = ev
+		ev.next = ev
+		q.occ[i>>6] |= 1 << (i & 63)
+		q.summary[i>>12] |= 1 << (i >> 6 & 63)
 	}
-	b.tail = ev
+	q.tails[i] = ev
 	q.wheelCount++
 }
 
@@ -81,84 +88,94 @@ func (q *eventQueue) pop() *event {
 	if q.size == 0 {
 		return nil
 	}
-	for {
-		if q.wheelCount > 0 {
-			i := q.nextOccupied()
-			b := &q.buckets[i]
-			ev := b.head
-			b.head = ev.next
-			if b.head == nil {
-				b.tail = nil
-				q.occ[i>>6] &^= 1 << (i & 63)
-			}
-			q.cursor = i
-			q.wheelCount--
-			q.size--
-			ev.next = nil
-			ev.queued = false
-			return ev
-		}
-		q.advanceWindow()
+	var ev *event
+	if q.wheelCount == 0 {
+		ev = q.heapPop()
+	} else if i := q.nextOccupied(); len(q.overflow) > 0 && eventBefore(q.overflow[0], q.tails[i].next) {
+		ev = q.heapPop()
+	} else {
+		ev = q.bucketPop(i)
 	}
+	q.size--
+	q.now = ev.at
+	ev.next = nil
+	ev.queued = false
+	return ev
 }
 
-// peek returns the earliest pending timestamp without dequeuing. It must
+// bucketPop unlinks the head of occupied bucket i.
+//
+//ksr:hotpath
+func (q *eventQueue) bucketPop(i int) *event {
+	tail := q.tails[i]
+	ev := tail.next
+	if ev == tail {
+		q.tails[i] = nil
+		if q.occ[i>>6] &^= 1 << (i & 63); q.occ[i>>6] == 0 {
+			q.summary[i>>12] &^= 1 << (i >> 6 & 63)
+		}
+	} else {
+		tail.next = ev.next
+	}
+	q.wheelCount--
+	return ev
+}
+
+// peek returns the earliest pending timestamp without dequeuing. It does
 // not mutate the queue: the PDES coordinator peeks (NextEventAt, and
-// RunWindow's pause check) and then injects cross-partition messages
-// whose timestamps, while never in the engine's past, can lie below the
-// window an eager advance would have jumped to — a push below base files
-// the event in a bucket of the wrong window, reordering pops. Leaving
-// the window alone keeps the invariant that only pop advances it, so
-// base never exceeds the last popped timestamp and every push lands at
-// or above base. When the wheel is empty the overflow minimum is already
-// the global minimum (wheel entries are < base+wheelSize, overflow
-// entries >= base+wheelSize), so no advance is needed to answer.
+// RunWindow's pause check) and then injects cross-partition messages,
+// which must land relative to the last pop, the engine's clock.
 //
 //ksr:hotpath
 func (q *eventQueue) peek() (Time, bool) {
 	if q.size == 0 {
 		return 0, false
 	}
-	if q.wheelCount > 0 {
-		i := q.nextOccupied()
-		return q.buckets[i].head.at, true
+	if q.wheelCount == 0 {
+		return q.overflow[0].at, true
 	}
-	return q.overflow[0].at, true
+	at := q.tails[q.nextOccupied()].at
+	if len(q.overflow) > 0 && q.overflow[0].at < at {
+		at = q.overflow[0].at
+	}
+	return at, true
 }
 
-// advanceWindow jumps the wheel window forward to the earliest far-future
-// event and pulls everything inside the new window into the wheel — in
-// heap order, which preserves FIFO within buckets. The caller guarantees
-// the wheel is empty and the overflow heap is not. Only pop may call
-// this: advancing anywhere else would let base outrun the engine clock,
-// breaking push's assumption that ev.at >= base.
-//
-//ksr:hotpath
-func (q *eventQueue) advanceWindow() {
-	min := q.overflow[0].at
-	q.base = min &^ Time(wheelMask)
-	q.cursor = int(min) & wheelMask
-	limit := q.base + wheelSize
-	for len(q.overflow) > 0 && q.overflow[0].at < limit {
-		q.bucketAppend(q.heapPop())
-	}
-}
-
-// nextOccupied returns the first non-empty bucket index at or after cursor.
-// The caller guarantees wheelCount > 0; within a window, event times only
-// move forward, so the bucket is always at or after cursor.
+// nextOccupied returns the bucket of the wheel's earliest event: the
+// first occupied bucket circularly from now's. The caller guarantees
+// wheelCount > 0. Circular order from now's bucket c is c's word from
+// bit c up, the later words, the earlier words from word 0, and last
+// c's word below bit c (the far end of the window).
 //
 //ksr:hotpath
 func (q *eventQueue) nextOccupied() int {
-	w := q.cursor >> 6
-	if word := q.occ[w] &^ (1<<(q.cursor&63) - 1); word != 0 {
-		return w<<6 + bits.TrailingZeros64(word)
+	c := int(q.now) & wheelMask
+	w := c >> 6
+	if word := q.occ[w] >> (c & 63); word != 0 {
+		return c + bits.TrailingZeros64(word)
 	}
-	for w++; ; w++ {
-		if word := q.occ[w]; word != 0 {
-			return w<<6 + bits.TrailingZeros64(word)
+	n := q.occupiedWordFrom(w + 1)
+	if n < 0 {
+		n = q.occupiedWordFrom(0)
+	}
+	return n<<6 + bits.TrailingZeros64(q.occ[n])
+}
+
+// occupiedWordFrom returns the first non-empty occupancy word at or after
+// w, or -1 if there is none.
+//
+//ksr:hotpath
+func (q *eventQueue) occupiedWordFrom(w int) int {
+	for s := w >> 6; s < len(q.summary); s++ {
+		word := q.summary[s]
+		if s == w>>6 {
+			word &^= 1<<(w&63) - 1
+		}
+		if word != 0 {
+			return s<<6 + bits.TrailingZeros64(word)
 		}
 	}
+	return -1
 }
 
 //ksr:hotpath

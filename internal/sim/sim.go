@@ -393,15 +393,18 @@ func (e *Engine) dispatch(self *Process) *Process {
 				return nil
 			}
 		}
+		if e.maxTime > 0 {
+			// Stop before popping past the deadline: the queue's window
+			// follows its last pop, which must never run ahead of e.now.
+			if at, ok := e.q.peek(); ok && at > e.maxTime {
+				e.now = e.maxTime
+				e.runErr = nil
+				return nil
+			}
+		}
 		ev := e.q.pop()
 		if ev == nil {
 			e.runErr = e.deadlockErr()
-			return nil
-		}
-		if e.maxTime > 0 && ev.at > e.maxTime {
-			e.release(ev)
-			e.now = e.maxTime
-			e.runErr = nil
 			return nil
 		}
 		if e.watchdogLimit > 0 {

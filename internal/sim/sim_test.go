@@ -175,6 +175,32 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
+// TestDeadlineLeavesLaterEventsQueued checks that a run stopped at its
+// deadline takes nothing past it off the queue: the first later event
+// stays pending, and an event scheduled after the stop, between the
+// deadline and that event, runs before it when the run resumes.
+func TestDeadlineLeavesLaterEventsQueued(t *testing.T) {
+	e := NewEngine()
+	e.SetDeadline(100)
+	var fired []Time
+	record := func() { fired = append(fired, e.Now()) }
+	e.Schedule(5000, record)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if at, ok := e.NextEventAt(); e.Now() != 100 || !ok || at != 5000 {
+		t.Fatalf("after the deadline: now %v, next event (%v, %v), want 100 and (5us, true)", e.Now(), at, ok)
+	}
+	e.Schedule(10, record)
+	e.SetDeadline(0)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 2 || fired[0] != 110 || fired[1] != 5000 {
+		t.Fatalf("events fired at %v, want [110ns 5us]", fired)
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	c := NewCond(e, "never")
